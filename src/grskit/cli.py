@@ -123,16 +123,17 @@ def cmd_construct(args) -> int:
 
 def cmd_check(args) -> int:
     m = read_matrix_file(args.infile)
-    code = LinearCode(m.field, m)
-    if args.kind == "mds":
-        print("verdict=mds" if is_mds(code) else "verdict=not-mds")
-    elif args.kind == "min-dist":
-        d = min_distance(code)
-        print(f"min_distance={d} n={code.n} k={code.k}")
-    elif args.kind == "is-grs":
+    # is_grs and cauchy_test reject a rank-deficient m themselves; only the
+    # MDS and distance verdicts need LinearCode's full-rank check
+    if args.kind == "is-grs":
         print(grsid.is_grs(m).format())
     elif args.kind == "cauchy":
         print("verdict=cauchy" if grsid.cauchy_test(m) else "verdict=non-cauchy")
+    elif args.kind == "mds":
+        print("verdict=mds" if is_mds(LinearCode(m.field, m)) else "verdict=not-mds")
+    elif args.kind == "min-dist":
+        code = LinearCode(m.field, m)
+        print(f"min_distance={min_distance(code)} n={code.n} k={code.k}")
     else:
         raise UsageError(f"unknown check kind {args.kind!r}")
     return 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .gf import Field, INF, is_finite, format_element, parse_element
+from .gf import Field, INF, is_finite, format_element, parse_element, _parse_decimal
 from . import linalg
 from .linalg import Matrix
 
@@ -242,9 +242,9 @@ def _parse_field_header(line: str) -> Field:
         raise FormatError(f"bad field header: {line!r}")
     try:
         kv = dict(p.split("=", 1) for p in parts[1:])
-        p = int(kv["p"])
-        s = int(kv["s"])
-        mod = tuple(int(c) for c in kv["mod"].split(","))
+        p = _parse_decimal(kv["p"])
+        s = _parse_decimal(kv["s"])
+        mod = tuple(_parse_decimal(c) for c in kv["mod"].split(","))
     except (ValueError, KeyError) as e:
         raise FormatError(f"bad field header: {line!r}") from e
     try:
@@ -269,7 +269,7 @@ def parse_matrix_file(text: str) -> Matrix:
     if len(head) != 3 or head[0] != "matrix":
         raise FormatError(f"bad matrix header: {lines[1]!r}")
     try:
-        k, n = int(head[1]), int(head[2])
+        k, n = _parse_decimal(head[1]), _parse_decimal(head[2])
     except ValueError:
         raise FormatError(f"bad matrix header: {lines[1]!r}") from None
     if len(lines) != 2 + k:
@@ -308,7 +308,7 @@ def parse_spec_file(text: str) -> GrsSpec:
     try:
         alpha = [parse_element(field, t, allow_inf=True) for t in body(lines[1], "alpha")]
         v = [parse_element(field, t) for t in body(lines[2], "v")]
-        k = int(body(lines[3], "k")[0])
+        k = _parse_decimal(body(lines[3], "k")[0])
         return GrsSpec(field, tuple(alpha), tuple(v), k)
     except (ValueError, IndexError) as e:
         raise FormatError(str(e)) from e

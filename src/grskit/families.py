@@ -391,6 +391,22 @@ def _general_condition_holds(F: Field, alpha, m, t, eta) -> bool:
     return True
 
 
+def _no_subset_reaches(vals, m, op, unit, target) -> bool:
+    """True iff no m-subset of vals, folded with op from unit, equals target.
+
+    Walks the subsets depth first, so subsets sharing a prefix share its
+    partial result, and stops at the first hit."""
+    def walk(start, depth, acc):
+        if depth == m:
+            return acc != target
+        for i in range(start, len(vals) - (m - depth) + 1):
+            if not walk(i + 1, depth + 1, op(acc, vals[i])):
+                return False
+        return True
+
+    return walk(0, 0, unit)
+
+
 def _reciprocal_condition_holds(F: Field, alpha, m, eta) -> bool:
     # t = 1 fast path: 1/eta != sum of reciprocals over every m-subset,
     # in projective arithmetic (1/0 = inf, inf + a = inf).
@@ -401,36 +417,13 @@ def _reciprocal_condition_holds(F: Field, alpha, m, eta) -> bool:
         return False
     if target is INF or m > len(rest):
         return True
-    inv = [F.inv(a) for a in rest]
-
-    def walk(start, depth, acc):
-        if depth == m:
-            return acc != target
-        for i in range(start, len(inv) - (m - depth) + 1):
-            if not walk(i + 1, depth + 1, F.add(acc, inv[i])):
-                return False
-        return True
-
-    return walk(0, 0, 0)
+    return _no_subset_reaches([F.inv(a) for a in rest], m, F.add, 0, target)
 
 
 def _product_condition_holds(F: Field, alpha, m, eta) -> bool:
     # t = m fast path (pi_m = 1): eta != (-1)^(m+1) * prod over m-subsets.
     sign = F.neg(1) if (m + 1) % 2 else 1
-    target = F.mul(sign, eta)
-    vals = list(alpha)
-    if m > len(vals):
-        return True
-
-    def walk(start, depth, acc):
-        if depth == m:
-            return acc != target
-        for i in range(start, len(vals) - (m - depth) + 1):
-            if not walk(i + 1, depth + 1, F.mul(acc, vals[i])):
-                return False
-        return True
-
-    return walk(0, 0, 1)
+    return _no_subset_reaches(list(alpha), m, F.mul, 1, F.mul(sign, eta))
 
 
 def _subset_check(F: Field, alpha, m, t, eta) -> bool:

@@ -4,7 +4,14 @@ Field elements are plain integers in [0, q-1].  The base-p digits of an
 encoding are the coefficients of the representing polynomial in the
 residue class of x, constant term least significant.  An encoding is
 meaningful only relative to one Field instance; all arithmetic goes
-through the Field's methods.
+through the Field's methods.  Each operation has one body, its public
+method, so a subclass that overrides one (an operation counter, say) sees
+every call, including the multiplications inside pow and, on extension
+fields, inside inv = pow(a, q-2).  Characteristic 2 adds by XOR; odd
+extensions work digit by digit in base p.
+
+Element tokens in files are canonical ASCII decimals (0 or no leading
+zero), or "inf" where the point at infinity is legal.
 
 The point at infinity is the module-level singleton INF, used for the
 evaluation-point domain of extended codes.  The conventions are
@@ -165,15 +172,17 @@ class Field:
         target = self.q - 1
         factors = _prime_factors(target)
         for a in range(1, self.q):
-            if all(self._pow(a, target // r) != 1 for r in factors) or target == 1:
+            if all(self.pow(a, target // r) != 1 for r in factors) or target == 1:
                 return a
         raise AssertionError("no primitive element found")  # unreachable
 
-    # -- raw arithmetic (internal, uncounted) --
+    # -- arithmetic --
 
-    def _add(self, a, b):
+    def add(self, a, b):
         if self.s == 1:
             return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
         p = self.p
         r = 0
         mul = 1
@@ -184,14 +193,26 @@ class Field:
             mul *= p
         return r
 
-    def _sub(self, a, b):
+    def sub(self, a, b):
         if self.s == 1:
             return (a - b) % self.p
-        return self._add(a, self._neg(b))
+        if self.p == 2:
+            return a ^ b
+        p = self.p
+        r = 0
+        mul = 1
+        while a or b:
+            r += ((a % p - b % p) % p) * mul
+            a //= p
+            b //= p
+            mul *= p
+        return r
 
-    def _neg(self, a):
+    def neg(self, a):
         if self.s == 1:
             return (-a) % self.p
+        if self.p == 2:
+            return a
         p = self.p
         r = 0
         mul = 1
@@ -201,7 +222,7 @@ class Field:
             mul *= p
         return r
 
-    def _mul(self, a, b):
+    def mul(self, a, b):
         if self.s == 1:
             return (a * b) % self.p
         if self.p == 2:
@@ -221,43 +242,12 @@ class Field:
         prod = _poly_mod(_poly_mul(da, db, self.p), self.modulus, self.p)
         return _poly_to_enc(prod, self.p)
 
-    def _pow(self, a, e):
-        if e < 0:
-            return self._pow(self._inv(a), -e)
-        if self.s == 1:
-            return pow(a, e, self.p)
-        r = 1
-        base = a
-        while e:
-            if e & 1:
-                r = self._mul(r, base)
-            base = self._mul(base, base)
-            e >>= 1
-        return r
-
-    def _inv(self, a):
+    def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.s == 1:
             return pow(a, self.p - 2, self.p)
-        return self._pow(a, self.q - 2)
-
-    # -- public arithmetic --
-
-    def add(self, a, b):
-        return self._add(a, b)
-
-    def sub(self, a, b):
-        return self._sub(a, b)
-
-    def neg(self, a):
-        return self._neg(a)
-
-    def mul(self, a, b):
-        return self._mul(a, b)
-
-    def inv(self, a):
-        return self._inv(a)
+        return self.pow(a, self.q - 2)
 
     def pow(self, a, e):
         """a**e; negative e requires a != 0.  pow(0, 0) = 1."""
@@ -267,10 +257,16 @@ class Field:
             if e < 0:
                 raise ZeroDivisionError("inverse of zero")
             return 0
-        return self._pow(a, e % (self.q - 1))
-
-    def div(self, a, b):
-        return self._mul(a, self._inv(b))
+        e %= self.q - 1
+        if self.s == 1:
+            return pow(a, e, self.p)
+        r = 1
+        while e:
+            if e & 1:
+                r = self.mul(r, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return r
 
     # -- element utilities --
 
@@ -285,7 +281,7 @@ class Field:
         w = self.primitive
         out = [1]
         for _ in range(self.q - 2):
-            out.append(self._mul(out[-1], w))
+            out.append(self.mul(out[-1], w))
         return out
 
     def check(self, a):
@@ -357,8 +353,15 @@ def parse_element(field: Field, token: str, allow_inf: bool = False):
         if not allow_inf:
             raise ValueError("inf is not legal here")
         return INF
-    try:
-        enc = int(token)
-    except ValueError:
-        raise ValueError(f"bad element token {token!r}") from None
-    return field.check(enc)
+    return field.check(_parse_decimal(token))
+
+
+def _parse_decimal(token: str) -> int:
+    """A canonical ASCII decimal: 0 or a nonzero digit followed by digits.
+
+    int() alone would also take signs, underscores, surrounding blanks,
+    leading zeros and non-ASCII digits.
+    """
+    if not (token.isascii() and token.isdigit()) or (token[0] == "0" and token != "0"):
+        raise ValueError(f"bad decimal token {token!r}")
+    return int(token)

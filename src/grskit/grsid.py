@@ -13,6 +13,13 @@ identity columns and two parity columns).  Lengths up to q are reduced to
 all-finite evaluation points; length q+1 keeps one point at infinity,
 moved to the last coordinate.  Longer inputs fail the distinctness guard,
 which is the correct verdict.
+
+is_grs eliminates its input once; the pivot columns separate a
+rank-deficient input (an error) from a singular leading block (a
+non-GRS verdict).  cauchy_test decides the Roth-Seroussi Cauchy form of
+[I | A] from row ratios and one rank, without enumerating minors.
+brute_force_recover is the exhaustive oracle for small codes of length
+at most q.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ REPEATED_ALPHA = "repeated-alpha"
 ZERO_MULTIPLIER = "zero-multiplier"
 CODE_MISMATCH = "code-mismatch"
 ENTRY_ZERO = "entry-zero"
-MINOR_VIOLATION = "minor-violation"
 
 
 class RecoveryError(ValueError):
@@ -280,17 +286,19 @@ def recover(m: Matrix, strict: bool = False) -> GrsVerdict:
 def is_grs(g: Matrix) -> GrsVerdict:
     """Decide whether the code generated by g is an (extended) GRS code.
 
-    Echelonizes, runs guarded recovery, regenerates the candidate code and
-    compares reduced echelon forms bit-exactly.  The verdict is the spec
-    on success, else the first failing reason.
+    Reduces g to echelon form once (its pivots tell a rank-deficient g,
+    which is an error, from a singular leading block, which is a verdict),
+    runs guarded recovery, regenerates the candidate code and compares
+    reduced echelon forms bit-exactly.  The verdict is the spec on
+    success, else the first failing reason.
     """
     k, n = g.rows, g.cols
     if not 3 <= k <= n - 2:
         raise ValueError(f"identification needs 3 <= k <= n-2, got k={k}, n={n}")
-    m, ok = linalg.echelonize(g)
-    if not ok:
-        if linalg.rank(g) < k:
-            raise ValueError("rank-deficient generator matrix")
+    m, pivots = linalg.rref(g)
+    if len(pivots) < k:
+        raise ValueError("rank-deficient generator matrix")
+    if pivots != tuple(range(k)):
         return GrsVerdict(False, reason=ECHELON_FAIL)
     verdict = recover(m, strict=False)
     if not verdict.grs:
@@ -302,37 +310,32 @@ def is_grs(g: Matrix) -> GrsVerdict:
     return verdict
 
 
-def _cauchy_reason(g: Matrix):
+def cauchy_test(g: Matrix) -> bool:
+    """True iff the systematic form [I | A] has A of Cauchy type (Roth and
+    Seroussi): all entries of A nonzero, all 2x2 minors of the entrywise
+    inverse C nonzero, all 3x3 minors of C zero.
+
+    No minor is enumerated.  A 2x2 minor of C on rows i, i' and columns
+    j, j' vanishes iff a_i'j / a_ij = a_i'j' / a_ij', so the first
+    condition is that for every pair of rows the ratios a_i'j / a_ij are
+    pairwise distinct over j.  All 3x3 minors of C vanish iff
+    rank(C) <= 2.  Both conditions are vacuous for shapes too small to
+    have such minors.  Raises ValueError when the leading block of g is
+    singular.
+    """
     m, ok = linalg.echelonize(g)
     if not ok:
         raise ValueError("leading block is singular; echelonize first")
     F = m.field
-    k, n = m.rows, m.cols
+    k, nk = m.rows, m.cols - m.rows
     a = [row[k:] for row in m.data]
-    for row in a:
-        for e in row:
-            if e == 0:
-                return ENTRY_ZERO
-    ainv = Matrix(F, [[F.inv(e) for e in row] for row in a], cols=n - k, check=False)
-    if min(k, n - k) >= 2:
-        for ri in combinations(range(k), 2):
-            for ci in combinations(range(n - k), 2):
-                if linalg.det(linalg.submatrix(ainv, ri, ci)) == 0:
-                    return MINOR_VIOLATION
-    if min(k, n - k) >= 3:
-        for ri in combinations(range(k), 3):
-            for ci in combinations(range(n - k), 3):
-                if linalg.det(linalg.submatrix(ainv, ri, ci)) != 0:
-                    return MINOR_VIOLATION
-    return None
-
-
-def cauchy_test(g: Matrix) -> bool:
-    """True iff the systematic form [I | A] has A of Cauchy type: all
-    entries nonzero, all 2x2 minors of the entrywise inverse nonzero, all
-    3x3 minors of the entrywise inverse zero.  Vacuous minor classes are
-    skipped for degenerate shapes."""
-    return _cauchy_reason(g) is None
+    if any(e == 0 for row in a for e in row):
+        return False
+    c = [[F.inv(e) for e in row] for row in a]
+    for i, j in combinations(range(k), 2):
+        if len({F.mul(y, x) for x, y in zip(c[i], a[j])}) < nk:
+            return False
+    return linalg.rank(Matrix(F, c, cols=nk, check=False)) <= 2
 
 
 def brute_force_recover(code: LinearCode):
@@ -342,11 +345,19 @@ def brute_force_recover(code: LinearCode):
     remaining points over ordered tuples), solving the multipliers per
     column and verifying every entry.  Returns the first spec whose code
     equals the input, or None.  Budget-limited to q <= 13 and n <= 8.
+
+    Only finite evaluation points are searched.  For n <= q that is
+    complete: trans_to_grs rewrites any spec with a point at infinity
+    into an all-finite one for the same code.  A GRS code of length q+1
+    needs the point at infinity, so n > q raises ValueError instead of
+    returning a false None.
     """
     F = code.field
     q, n, k = F.q, code.n, code.k
     if q > 13 or n > 8:
         raise ValueError("search budget is q <= 13 and n <= 8")
+    if n > q:
+        raise ValueError(f"finite-point search needs n <= q, got n={n}, q={q}")
     m, ok = linalg.echelonize(code.gen)
     if not ok:
         return None
@@ -414,36 +425,35 @@ class CountingField(Field):
     __slots__ = ("ops",)
 
     def __init__(self, base: Field):
-        super().__init__(base.p, base.s, base.modulus)
+        # copy the base field rather than rebuild it: construction calls
+        # pow, which would count before ops exists
+        for name in Field.__slots__:
+            setattr(self, name, getattr(base, name))
         self.ops = 0
 
     def add(self, a, b):
         self.ops += 1
-        return self._add(a, b)
+        return super().add(a, b)
 
     def sub(self, a, b):
         self.ops += 1
-        return self._sub(a, b)
+        return super().sub(a, b)
 
     def neg(self, a):
         self.ops += 1
-        return self._neg(a)
+        return super().neg(a)
 
     def mul(self, a, b):
         self.ops += 1
-        return self._mul(a, b)
+        return super().mul(a, b)
 
     def inv(self, a):
         self.ops += 1
-        return self._inv(a)
+        return super().inv(a)
 
     def pow(self, a, e):
         self.ops += 1
         return super().pow(a, e)
-
-    def div(self, a, b):
-        self.ops += 1
-        return self._mul(a, self._inv(b))
 
 
 def random_grs_spec(field: Field, n: int, k: int, rng: random.Random,
@@ -468,8 +478,12 @@ def bench_recover(field: Field, k: int, n_list, trials: int, seed: int = 0):
     """Time and count the recovery step on fresh random GRS instances.
 
     Echelonization is done outside the instrumented field, so the counts
-    cover exactly the recovery equations.  Returns one row per n with
-    median wall time and median operation count.
+    cover exactly the recovery equations.  Every call of a public field
+    operation (add, sub, neg, mul, inv, pow) counts once.  On prime fields
+    inv and pow compute directly, so each is one operation.  On extension
+    fields pow multiplies through the public mul, and inv is pow(a, q-2),
+    so their inner multiplications are counted too.  Returns one row per n
+    with median wall time and median operation count.
     """
     rng = random.Random(seed)
     rows = []

@@ -3,11 +3,15 @@
 Matrices are immutable: entries live in a tuple of row tuples and every
 operation returns a fresh Matrix.  All arithmetic goes through the
 field's methods, so an instrumented field sees every operation.
+
+One elimination kernel, _eliminate (forward elimination to a unit-pivot
+echelon form), serves everything: rank is its pivot count, det its signed
+pivot product, rref adds back-substitution, and echelonize is rref plus
+the check that the pivots fill the leading columns.  Row updates skip the
+zero entries of the pivot row.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .gf import Field
 
@@ -100,6 +104,62 @@ def is_zero(m: Matrix) -> bool:
     return all(e == 0 for r in m.data for e in r)
 
 
+def _eliminate(m: Matrix):
+    """Forward Gaussian elimination, the one pivoting loop of this module.
+
+    Scans the columns left to right, swaps the first row with a nonzero
+    entry into place, scales it to a leading 1 and clears the entries
+    below.  Returns (rows, pivot_columns, d): the echelon rows as lists,
+    and d, the product of the pivots negated once per swap, which is the
+    determinant when m is square and every column has a pivot.
+    """
+    F = m.field
+    mul, sub = F.mul, F.sub
+    a = [list(r) for r in m.data]
+    k = len(a)
+    pivots = []
+    d = 1
+    for c in range(m.cols):
+        r = len(pivots)
+        if r == k:
+            break
+        for piv in range(r, k):
+            if a[piv][c]:
+                break
+        else:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            d = F.neg(d)
+        p = a[r][c]
+        d = mul(d, p)
+        if p != 1:
+            inv = F.inv(p)
+            a[r] = [mul(inv, x) if x else 0 for x in a[r]]
+        row = a[r]
+        for i in range(r + 1, k):
+            f = a[i][c]
+            if f:
+                a[i] = [sub(x, mul(f, y)) if y else x for x, y in zip(a[i], row)]
+        pivots.append(c)
+    return a, tuple(pivots), d
+
+
+def rref(m: Matrix):
+    """General reduced row echelon form.  Returns (M, pivot_columns)."""
+    F = m.field
+    mul, sub = F.mul, F.sub
+    a, pivots, _ = _eliminate(m)
+    # back-substitution, bottom pivot first, so that no cleared entry refills
+    for r in range(len(pivots) - 1, 0, -1):
+        c, row = pivots[r], a[r]
+        for i in range(r):
+            f = a[i][c]
+            if f:
+                a[i] = [sub(x, mul(f, y)) if y else x for x, y in zip(a[i], row)]
+    return Matrix(F, a, cols=m.cols, check=False), pivots
+
+
 def echelonize(m: Matrix):
     """Reduced row echelon form with pivots forced into columns 0..rows-1.
 
@@ -108,98 +168,24 @@ def echelonize(m: Matrix):
     so a failure is itself a verdict about the leading block.  On failure
     the returned matrix is the unmodified input.
     """
-    k, n = m.rows, m.cols
-    if k > n:
+    if m.rows > m.cols:
         raise ValueError("more rows than columns")
-    F = m.field
-    a = [list(r) for r in m.data]
-    for c in range(k):
-        piv = None
-        for r in range(c, k):
-            if a[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            return m, False
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-        inv = F.inv(a[c][c])
-        if inv != 1:
-            a[c] = [F.mul(inv, x) for x in a[c]]
-        row_c = a[c]
-        for r in range(k):
-            f = a[r][c]
-            if r != c and f != 0:
-                a[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(a[r], row_c)]
-    return Matrix(F, a, cols=n, check=False), True
-
-
-def rref(m: Matrix):
-    """General reduced row echelon form.  Returns (M, pivot_columns)."""
-    F = m.field
-    k, n = m.rows, m.cols
-    a = [list(r) for r in m.data]
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == k:
-            break
-        piv = None
-        for i in range(r, k):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        inv = F.inv(a[r][c])
-        if inv != 1:
-            a[r] = [F.mul(inv, x) for x in a[r]]
-        row_r = a[r]
-        for i in range(k):
-            f = a[i][c]
-            if i != r and f != 0:
-                a[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(a[i], row_r)]
-        pivots.append(c)
-        r += 1
-    return Matrix(F, a, cols=n, check=False), tuple(pivots)
+    red, pivots = rref(m)
+    if pivots != tuple(range(m.rows)):
+        return m, False
+    return red, True
 
 
 def rank(m: Matrix) -> int:
-    if m.rows == 0:
-        return 0
-    return len(rref(m)[1])
+    return len(_eliminate(m)[1])
 
 
 def det(m: Matrix):
     """Determinant by Gaussian elimination; exact over the field."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    F = m.field
-    n = m.rows
-    a = [list(r) for r in m.data]
-    d = 1
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if a[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            d = F.neg(d)
-        d = F.mul(d, a[c][c])
-        inv = F.inv(a[c][c])
-        row_c = a[c]
-        for r in range(c + 1, n):
-            f = a[r][c]
-            if f != 0:
-                f = F.mul(f, inv)
-                a[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(a[r], row_c)]
-    return d
+    _, pivots, d = _eliminate(m)
+    return d if len(pivots) == m.rows else 0
 
 
 def minor(m: Matrix, row_idx, col_idx):
@@ -226,14 +212,3 @@ def right_kernel(m: Matrix) -> Matrix:
                 vec[pc] = F.neg(e)
         basis.append(vec)
     return Matrix(F, basis, cols=n, check=False)
-
-
-def all_minors_nonzero(m: Matrix, size: int) -> bool:
-    """True iff every size × size minor of m is nonzero (early exit)."""
-    if m.rows < size or m.cols < size:
-        return True
-    for ri in combinations(range(m.rows), size):
-        for ci in combinations(range(m.cols), size):
-            if det(submatrix(m, ri, ci)) == 0:
-                return False
-    return True

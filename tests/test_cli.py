@@ -161,6 +161,28 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert rc == 3
 
 
+def test_noncanonical_decimal_exit_code(tmp_path, capsys):
+    cases = ("field p=1_1 s=+1 mod=0,1\nmatrix 1 3\n1 2 3\n",
+             "field p=11 s=1 mod=0,1\nmatrix 1 3\n1 1_0 +3\n")
+    for i, text in enumerate(cases):
+        bad = tmp_path / f"bad{i}.txt"
+        bad.write_text(text)
+        rc, _, err = run(capsys, "check", "--kind", "mds", "--in", str(bad))
+        assert rc == 3, text
+        assert "malformed input" in err
+
+
+def test_rank_deficient_input_exit_code(tmp_path, capsys):
+    # row 3 is row 1 + row 2: no verdict, a usage error under every kind
+    bad = tmp_path / "deficient.txt"
+    bad.write_text("field p=11 s=1 mod=0,1\nmatrix 3 6\n"
+                   "1 0 0 1 1 1\n0 1 0 2 2 2\n1 1 0 3 3 3\n")
+    for kind in ("mds", "min-dist", "is-grs", "cauchy"):
+        rc, out, err = run(capsys, "check", "--kind", kind, "--in", str(bad))
+        assert rc == 2, kind
+        assert out == "" and err.startswith("error:"), kind
+
+
 def test_construct_stdout_when_no_out(capsys):
     rc, out, _ = run(capsys, "construct", "--q", "7", "--family", "grs",
                      "--n", "6", "--k", "3")

@@ -258,6 +258,14 @@ def test_spec_file_roundtrip(f11):
     "field p=11 s=1 mod=0,1\nmatrix 1 2\n5 11",
     "field p=11 s=1 mod=0,1\nmatrix 2 2\n5 1",
     "field p=4 s=1 mod=0,1\nmatrix 1 1\n1",
+    # header integers are canonical ASCII decimals, as element tokens are
+    "field p=1_1 s=1 mod=0,1\nmatrix 1 1\n5",
+    "field p=11 s=+1 mod=0,1\nmatrix 1 1\n5",
+    "field p=11 s=1 mod=0,+1\nmatrix 1 1\n5",
+    "field p=11 s=1 mod=0,1\nmatrix +1 1\n5",
+    "field p=11 s=1 mod=0,1\nmatrix 1 01\n5",
+    "field p=11 s=1 mod=0,1\nmatrix 1 1\n1_0",
+    "field p=11 s=1 mod=0,1\nmatrix 1 1\n\u0661",
 ])
 def test_malformed_matrix_files(text):
     with pytest.raises(FormatError):
@@ -269,3 +277,7 @@ def test_malformed_spec_file(f11):
         parse_spec_file("field p=11 s=1 mod=0,1\nalpha: 0 1\nv: 1 1\n")
     with pytest.raises(FormatError):
         parse_spec_file("field p=11 s=1 mod=0,1\nalpha: 0 0\nv: 1 1\nk: 1\n")
+    with pytest.raises(FormatError):
+        parse_spec_file("field p=11 s=1 mod=0,1\nalpha: 0 1\nv: 1 1\nk: +1\n")
+    with pytest.raises(FormatError):
+        parse_spec_file("field p=11 s=1 mod=0,1\nalpha: 0 +1\nv: 1 1\nk: 1\n")

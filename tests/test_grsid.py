@@ -1,9 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from grskit.gf import Field, field_from_order, INF
-from grskit.linalg import Matrix, matmul, rank
+from grskit.linalg import Matrix, matmul, rank, det, echelonize, submatrix
 from grskit.codes import (GrsSpec, grs_generator, puncture, shorten, is_mds,
                           code_eq)
 from grskit.families import MgrsParams, mgrs_generator
@@ -285,6 +286,54 @@ def test_cauchy_agrees_with_is_grs_on_mds_inputs():
         seen += 1
 
 
+def cauchy_by_minors(g):
+    """Reference Cauchy test by minor enumeration: [I | A] with A free of
+    zeros, every 2x2 minor of C = (1/a_ij) nonzero and every 3x3 minor of
+    C zero."""
+    m, ok = echelonize(g)
+    assert ok
+    F = m.field
+    k, n = m.rows, m.cols
+    a = [row[k:] for row in m.data]
+    if any(e == 0 for row in a for e in row):
+        return False
+    c = Matrix(F, [[F.inv(e) for e in row] for row in a], cols=n - k)
+    for size, want_zero in ((2, False), (3, True)):
+        for ri in combinations(range(k), size):
+            for ci in combinations(range(n - k), size):
+                if (det(submatrix(c, ri, ci)) == 0) != want_zero:
+                    return False
+    return True
+
+
+def test_cauchy_matches_minor_enumeration():
+    rng = random.Random(33)
+    verdicts = []
+    for i in range(300):
+        f = field_from_order(rng.choice((7, 8, 9, 11, 13, 16)))
+        k = rng.randrange(1, 6)
+        nk = rng.randrange(1, 6)
+        kind = i % 4
+        if kind in (0, 3):  # GRS, so Cauchy; kind 3 then changes one entry
+            spec = random_grs_spec(f, min(k + nk, f.q), k, rng, with_inf=rng.random() < 0.5)
+            m, _ = echelonize(grs_generator(spec).gen)
+            if kind == 3:
+                rows = [list(r) for r in m.data]
+                r, c = rng.randrange(k), rng.randrange(k, m.cols)
+                rows[r][c] = rng.choice([e for e in range(f.q) if e != rows[r][c]])
+                m = Matrix(f, rows)
+        elif kind == 1 and k + nk <= f.q:  # Cauchy matrix built directly
+            m = _cauchy_systematic(f, k, nk, rng)
+        else:  # uniform entries: zeros, 2x2 and 3x3 failures
+            m = Matrix(f, [[int(r == j) for j in range(k)]
+                           + [rng.randrange(f.q) for _ in range(nk)]
+                           for r in range(k)])
+        want = cauchy_by_minors(m)
+        assert cauchy_test(m) == want, (f, m.data)
+        verdicts.append(want)
+    assert 60 <= sum(verdicts) <= 240
+
+
 # ---------------- brute force oracle ----------------
 
 def test_brute_force_finds_grs(f11):
@@ -305,6 +354,21 @@ def test_brute_force_budget(f11):
     with pytest.raises(ValueError):
         brute_force_recover(grs_generator(
             random_grs_spec(f11, 9, 3, random.Random(0))))
+
+
+def test_brute_force_length_q_plus_1_raises():
+    # [8,4] over GF(7) on the whole projective line: GRS, but only with the
+    # point at infinity, which the finite search cannot produce
+    f7 = Field(7)
+    code = grs_generator(GrsSpec(f7, tuple(range(7)) + (INF,), (1,) * 8, 4))
+    verdict = is_grs(code.gen)
+    assert verdict.grs and code_eq(grs_generator(verdict.spec), code)
+    with pytest.raises(ValueError):
+        brute_force_recover(code)
+    # up to length q an extended code has an all-finite spec, so it is found
+    short = grs_generator(GrsSpec(f7, (0, 1, 2, 3, 4, 5, INF), (1,) * 7, 3))
+    found = brute_force_recover(short)
+    assert found is not None and code_eq(grs_generator(found), short)
 
 
 def test_brute_force_agrees_with_is_grs():
@@ -359,6 +423,17 @@ def test_counting_field_counts(f11):
     cf.pow(2, 7)
     assert cf.ops == 4
     assert cf == f11  # same field, instrumentation aside
+
+
+def test_counting_field_on_extension_field(f8):
+    cf = CountingField(f8)
+    assert cf == f8 and cf.primitive == f8.primitive and cf.ops == 0
+    assert [cf.inv(a) for a in f8.nonzero()] == [f8.inv(a) for a in f8.nonzero()]
+    # inv is pow(a, q-2), whose multiplications go through the counted mul
+    assert cf.ops > 7
+    cf.ops = 0
+    assert cf.sub(5, 3) == f8.sub(5, 3) and cf.neg(5) == f8.neg(5)
+    assert cf.ops == 2
 
 
 def test_bench_rejects_overlong(f11):

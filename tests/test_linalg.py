@@ -1,4 +1,5 @@
 import random
+from itertools import permutations, product
 
 import pytest
 
@@ -57,6 +58,70 @@ def test_det_multiplicative(q):
         a = random_matrix(f, 4, 4, rng)
         b = random_matrix(f, 4, 4, rng)
         assert f.mul(det(a), det(b)) == det(matmul(a, b))
+
+
+def leibniz_det(m):
+    """Sum over permutations of signed entry products, independent of any
+    elimination."""
+    F = m.field
+    total = 0
+    for perm in permutations(range(m.rows)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = F.mul(term, m.data[i][j])
+        inversions = sum(1 for a in range(len(perm)) for b in range(a)
+                         if perm[b] > perm[a])
+        total = F.add(total, F.neg(term) if inversions % 2 else term)
+    return total
+
+
+@pytest.mark.parametrize("q", [13, 16, 27])
+def test_det_matches_leibniz(q):
+    f = field_from_order(q)
+    rng = random.Random(q)
+    assert det(Matrix(f, [], cols=0)) == 1 == leibniz_det(Matrix(f, [], cols=0))
+    for _ in range(60):
+        n = rng.randrange(1, 5)
+        m = random_matrix(f, n, n, rng)
+        if n >= 2 and rng.random() < 0.3:  # a singular case: repeat a scaled row
+            rows = [list(r) for r in m.data]
+            c = rng.randrange(f.q)
+            rows[-1] = [f.mul(c, e) for e in rows[0]]
+            m = Matrix(f, rows)
+        assert det(m) == leibniz_det(m)
+
+
+def row_space(m):
+    F = m.field
+    out = set()
+    for coeffs in product(range(F.q), repeat=m.rows):
+        v = [0] * m.cols
+        for c, row in zip(coeffs, m.data):
+            v = [F.add(x, F.mul(c, y)) for x, y in zip(v, row)]
+        out.add(tuple(v))
+    return out
+
+
+@pytest.mark.parametrize("q", [4, 5, 9])
+def test_rref_reproduces_row_space(q):
+    f = field_from_order(q)
+    rng = random.Random(100 + q)
+    for _ in range(30):
+        rows = rng.randrange(1, 4)
+        cols = rng.randrange(1, 7)
+        m = random_matrix(f, rows, cols, rng)
+        if rows >= 2 and rng.random() < 0.4:
+            data = [list(r) for r in m.data]
+            data[-1] = [f.add(x, y) for x, y in zip(data[0], data[1])]
+            m = Matrix(f, data)
+        red, pivots = rref(m)
+        assert row_space(red) == row_space(m)
+        r = len(pivots)
+        assert list(pivots) == sorted(set(pivots))
+        assert all(not any(row) for row in red.data[r:])
+        for i, c in enumerate(pivots):
+            assert not any(red.data[i][:c])
+            assert [row[c] for row in red.data] == [int(j == i) for j in range(rows)]
 
 
 def test_rank_plus_nullity(f11):
