@@ -14,12 +14,11 @@ from .codes import (LinearCode, GrsSpec, FormatError, grs_generator,
                     read_matrix_file, write_matrix_file,
                     read_spec_file, write_spec_file)
 from .families import (MgrsParams, EmgrsParams, TgrsParams, RothLempelParams,
-                       PolyCoeffs, TWIST_ZERO, TWIST_TOP,
+                       TWIST_ZERO, TWIST_TOP,
                        mgrs_generator, emgrs_generator, mgrs_is_mds,
                        emgrs_is_mds, c_code_generator, d_code_generator,
                        tgrs_generator, tgrs_dual_parity,
-                       roth_lempel_generator, col_twisted_generator,
-                       sigma_coeffs)
+                       roth_lempel_generator, col_twisted_generator)
 from .constructions import (ConstructionRecord, Table1Report, star_modified,
                             odd_k3, plus_modified, char2_k4, ngrs_q2_3,
                             tgrs_punctured, table1)

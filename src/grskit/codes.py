@@ -213,20 +213,14 @@ def is_mds(code: LinearCode) -> bool:
 def code_eq(c1: LinearCode, c2: LinearCode) -> bool:
     """Equality of codes as sets of codewords.
 
-    Compares reduced echelon generators bit-exactly when both leading
-    blocks are invertible; otherwise falls back to mutual row-space
-    containment via ranks.
+    Compares reduced row echelon forms bit-exactly: a row space has
+    exactly one, whatever its pivot columns.
     """
     if c1.field != c2.field:
         raise ValueError("codes over different fields")
     if c1.n != c2.n or c1.k != c2.k:
         return False
-    m1, ok1 = linalg.echelonize(c1.gen)
-    m2, ok2 = linalg.echelonize(c2.gen)
-    if ok1 and ok2:
-        return m1.data == m2.data
-    stacked = linalg.vstack(c1.gen, c2.gen)
-    return linalg.rank(stacked) == c1.k
+    return linalg.rref(c1.gen)[0].data == linalg.rref(c2.gen)[0].data
 
 
 # ---------------- file formats ----------------
@@ -314,21 +308,28 @@ def parse_spec_file(text: str) -> GrsSpec:
         raise FormatError(str(e)) from e
 
 
+def _read_ascii(path) -> str:
+    # every token is an ASCII decimal or "inf": any other byte is malformed
+    with open(path, encoding="ascii") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise FormatError(f"non-ASCII byte at offset {e.start}") from e
+
+
 def write_matrix_file(path, m: Matrix) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="ascii") as fh:
         fh.write(format_matrix_file(m))
 
 
 def read_matrix_file(path) -> Matrix:
-    with open(path) as fh:
-        return parse_matrix_file(fh.read())
+    return parse_matrix_file(_read_ascii(path))
 
 
 def write_spec_file(path, spec: GrsSpec) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="ascii") as fh:
         fh.write(format_spec_file(spec))
 
 
 def read_spec_file(path) -> GrsSpec:
-    with open(path) as fh:
-        return parse_spec_file(fh.read())
+    return parse_spec_file(_read_ascii(path))

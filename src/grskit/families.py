@@ -3,15 +3,16 @@
 Families covered: modified GRS (one generator entry changed), extended
 modified GRS, the row-removed subcode families (c/d), twisted GRS with a
 constant-coefficient or top-degree hook, Roth-Lempel, and column-twisted
-codes.  The MDS predicates evaluate subset conditions on the evaluation
-points exactly, without building generator matrices.
+codes.  The MDS predicates decide the paper's subset condition on the
+evaluation points exactly, without building generator matrices, by one
+depth-first subset walk; t = 1 (reciprocal sums) and t = m (products) are
+its fast cases.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
 from .gf import Field, INF, proj_inv
 from . import linalg
@@ -147,15 +148,6 @@ class RothLempelParams:
     @property
     def n(self) -> int:
         return len(self.a) + 2
-
-
-@dataclass(frozen=True)
-class PolyCoeffs:
-    """Coefficients of P(x) = prod(x - alpha_j) and of every quotient
-    P(x)/(x - alpha_h), ascending by degree."""
-
-    product: tuple            # k+1 coefficients of P
-    quotients: tuple          # k rows of k coefficients each
 
 
 # ---------------- generator builders ----------------
@@ -363,42 +355,19 @@ def col_twisted_generator(field: Field, a, b: int, c: int, lam: int, k: int,
 # A modified-GRS minor that uses the special column degenerates exactly
 # when eta * pi_t(S) = (-1)^(m+1) * prod(S) for the (size-m) subset S of
 # evaluation points it meets, where pi_t(S) is the coefficient of x^t in
-# prod_{a in S}(x - a).  The MDS predicates sweep all subsets of the
-# relevant sizes with early exit.
+# prod_{a in S}(x - a).  One depth-first walk, _no_subset_reaches, sweeps
+# the subsets of the relevant sizes with early exit.  Its t = 1 (reciprocal
+# sum) and t = m (product) folds are one field element each and run several
+# times faster than the general fold of the coefficients up to x^t.
 
-def _poly_from_roots(F: Field, roots):
-    coeffs = [1]
-    for a in roots:
-        na = F.neg(a)
-        nxt = [F.mul(coeffs[0], na)]
-        for i in range(1, len(coeffs)):
-            nxt.append(F.add(coeffs[i - 1], F.mul(coeffs[i], na)))
-        nxt.append(1)
-        coeffs = nxt
-    return coeffs
-
-
-def _general_condition_holds(F: Field, alpha, m, t, eta) -> bool:
-    sign = F.neg(1) if (m + 1) % 2 else 1
-    for sub in combinations(alpha, m):
-        coeffs = _poly_from_roots(F, sub)
-        pi_t = coeffs[t] if t <= m else 0
-        prod = 1
-        for a in sub:
-            prod = F.mul(prod, a)
-        if F.mul(eta, pi_t) == F.mul(sign, prod):
-            return False
-    return True
-
-
-def _no_subset_reaches(vals, m, op, unit, target) -> bool:
-    """True iff no m-subset of vals, folded with op from unit, equals target.
+def _no_subset_reaches(vals, m, op, unit, hit) -> bool:
+    """True iff no m-subset of vals, folded with op from unit, satisfies hit.
 
     Walks the subsets depth first, so subsets sharing a prefix share its
     partial result, and stops at the first hit."""
     def walk(start, depth, acc):
         if depth == m:
-            return acc != target
+            return not hit(acc)
         for i in range(start, len(vals) - (m - depth) + 1):
             if not walk(i + 1, depth + 1, op(acc, vals[i])):
                 return False
@@ -417,13 +386,26 @@ def _reciprocal_condition_holds(F: Field, alpha, m, eta) -> bool:
         return False
     if target is INF or m > len(rest):
         return True
-    return _no_subset_reaches([F.inv(a) for a in rest], m, F.add, 0, target)
+    return _no_subset_reaches([F.inv(a) for a in rest], m, F.add, 0, target.__eq__)
 
 
 def _product_condition_holds(F: Field, alpha, m, eta) -> bool:
     # t = m fast path (pi_m = 1): eta != (-1)^(m+1) * prod over m-subsets.
     sign = F.neg(1) if (m + 1) % 2 else 1
-    return _no_subset_reaches(list(alpha), m, F.mul, 1, F.mul(sign, eta))
+    return _no_subset_reaches(list(alpha), m, F.mul, 1, F.mul(sign, eta).__eq__)
+
+
+def _coefficient_condition_holds(F: Field, alpha, m, t, eta) -> bool:
+    # any t: fold c_0..c_t of prod(x - a), multiplying by (x - a) and
+    # truncating at degree t; c_0 = (-1)^m * prod(S), so S defeats MDS iff
+    # eta * c_t + c_0 = 0 (c_t stays 0 when t > m, as pi_t does).
+    add, mul = F.add, F.mul
+
+    def times(c, na):
+        return [mul(c[0], na)] + [add(lo, mul(hi, na)) for lo, hi in zip(c, c[1:])]
+
+    return _no_subset_reaches([F.neg(a) for a in alpha], m, times, [1] + [0] * t,
+                              lambda c: add(mul(eta, c[t]), c[0]) == 0)
 
 
 def _subset_check(F: Field, alpha, m, t, eta) -> bool:
@@ -433,7 +415,7 @@ def _subset_check(F: Field, alpha, m, t, eta) -> bool:
         return _reciprocal_condition_holds(F, alpha, m, eta)
     if t == m:
         return _product_condition_holds(F, alpha, m, eta)
-    return _general_condition_holds(F, alpha, m, t, eta)
+    return _coefficient_condition_holds(F, alpha, m, t, eta)
 
 
 def mgrs_is_mds(p: MgrsParams) -> bool:
@@ -447,57 +429,3 @@ def emgrs_is_mds(p: EmgrsParams) -> bool:
     (the second size accounts for the appended top-coefficient column)."""
     return (_subset_check(p.field, p.alpha, p.k - 1, p.t, p.eta)
             and _subset_check(p.field, p.alpha, p.k - 2, p.t, p.eta))
-
-
-# ---------------- product/quotient coefficient bookkeeping ----------------
-
-def sigma_coeffs(field: Field, alpha) -> PolyCoeffs:
-    """Coefficients of P(x) = prod(x - alpha_j) and of all quotients
-    f_h = P / (x - alpha_h).
-
-    Quotients at nonzero roots use the coefficient ladder
-    sigma_{h,s} = (sigma_{P,s} - sigma_{h,s-1}) / (-alpha_h) with
-    sigma_{h,k-1} = 1; a zero root falls back to synthetic division.
-    Every quotient is cross-checked by re-multiplying with its root factor.
-    """
-    alpha = tuple(alpha)
-    _check_distinct_finite(field, alpha)
-    F = field
-    k = len(alpha)
-    p_coeffs = _poly_from_roots(F, alpha)
-
-    quotients = []
-    for ah in alpha:
-        if ah != 0:
-            neg_inv = F.neg(F.inv(ah))
-            sig = [0] * k
-            sig[k - 1] = 1
-            prev = 0
-            for s in range(k - 1):
-                prev = F.mul(F.sub(p_coeffs[s], prev), neg_inv)
-                sig[s] = prev
-        else:
-            sig = _divide_out(F, p_coeffs, ah)
-        # (x - ah) * f_h must reproduce P exactly
-        na = F.neg(ah)
-        check = [F.mul(sig[0], na)]
-        for i in range(1, k):
-            check.append(F.add(sig[i - 1], F.mul(sig[i], na)))
-        check.append(sig[k - 1])
-        if check != list(p_coeffs):
-            raise AssertionError("quotient coefficients fail the product check")
-        quotients.append(tuple(sig))
-    return PolyCoeffs(product=tuple(p_coeffs), quotients=tuple(quotients))
-
-
-def _divide_out(F: Field, p_coeffs, root):
-    # synthetic division of P by (x - root); the remainder must vanish
-    k = len(p_coeffs) - 1
-    out = [0] * k
-    carry = p_coeffs[k]
-    for i in range(k - 1, -1, -1):
-        out[i] = carry
-        carry = F.add(p_coeffs[i], F.mul(root, carry))
-    if carry != 0:
-        raise AssertionError("nonzero remainder dividing out a root")
-    return out

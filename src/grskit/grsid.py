@@ -320,12 +320,14 @@ def cauchy_test(g: Matrix) -> bool:
     condition is that for every pair of rows the ratios a_i'j / a_ij are
     pairwise distinct over j.  All 3x3 minors of C vanish iff
     rank(C) <= 2.  Both conditions are vacuous for shapes too small to
-    have such minors.  Raises ValueError when the leading block of g is
-    singular.
+    have such minors.  A singular leading block has no systematic form,
+    so the verdict is False; a rank-deficient g raises ValueError.
     """
-    m, ok = linalg.echelonize(g)
-    if not ok:
-        raise ValueError("leading block is singular; echelonize first")
+    m, pivots = linalg.rref(g)
+    if len(pivots) < g.rows:
+        raise ValueError("rank-deficient generator matrix")
+    if pivots != tuple(range(g.rows)):
+        return False
     F = m.field
     k, nk = m.rows, m.cols - m.rows
     a = [row[k:] for row in m.data]

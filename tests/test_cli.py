@@ -162,11 +162,12 @@ def test_malformed_input_exit_code(tmp_path, capsys):
 
 
 def test_noncanonical_decimal_exit_code(tmp_path, capsys):
-    cases = ("field p=1_1 s=+1 mod=0,1\nmatrix 1 3\n1 2 3\n",
-             "field p=11 s=1 mod=0,1\nmatrix 1 3\n1 1_0 +3\n")
+    cases = (b"field p=1_1 s=+1 mod=0,1\nmatrix 1 3\n1 2 3\n",
+             b"field p=11 s=1 mod=0,1\nmatrix 1 3\n1 1_0 +3\n",
+             b"field p=11 s=1 mod=0,1\nmatrix 1 3\n1 2 \xff\n")
     for i, text in enumerate(cases):
         bad = tmp_path / f"bad{i}.txt"
-        bad.write_text(text)
+        bad.write_bytes(text)
         rc, _, err = run(capsys, "check", "--kind", "mds", "--in", str(bad))
         assert rc == 3, text
         assert "malformed input" in err
@@ -181,6 +182,17 @@ def test_rank_deficient_input_exit_code(tmp_path, capsys):
         rc, out, err = run(capsys, "check", "--kind", kind, "--in", str(bad))
         assert rc == 2, kind
         assert out == "" and err.startswith("error:"), kind
+
+
+def test_singular_leading_block_verdicts(tmp_path, capsys):
+    # full rank with a zero first column: a verdict under both GRS kinds
+    path = tmp_path / "singular.txt"
+    path.write_text("field p=11 s=1 mod=0,1\nmatrix 3 6\n"
+                    "0 1 0 2 3 4\n0 0 1 5 6 7\n0 0 0 1 1 1\n")
+    rc, out, _ = run(capsys, "check", "--kind", "is-grs", "--in", str(path))
+    assert rc == 0 and out.strip() == "verdict=non-grs reason=echelon-fail"
+    rc, out, _ = run(capsys, "check", "--kind", "cauchy", "--in", str(path))
+    assert rc == 0 and out.strip() == "verdict=non-cauchy"
 
 
 def test_construct_stdout_when_no_out(capsys):

@@ -8,7 +8,8 @@ from grskit.codes import (LinearCode, GrsSpec, FormatError, grs_generator,
                           grs_dual_multipliers, dual, puncture, shorten,
                           min_distance, is_mds, code_eq,
                           format_matrix_file, parse_matrix_file,
-                          format_spec_file, parse_spec_file)
+                          format_spec_file, parse_spec_file,
+                          read_matrix_file, read_spec_file)
 from grskit.grsid import random_grs_spec
 
 
@@ -227,6 +228,23 @@ def test_code_eq_equivalence_relation(f11):
             assert code_eq(c1, c3)
 
 
+def test_code_eq_singular_leading_block(f11):
+    # a zero first column leaves the leading block singular in every presentation
+    rng = random.Random(9)
+    seen = 0
+    while seen < 20:
+        rows = [[0] + [rng.randrange(11) for _ in range(5)] for _ in range(3)]
+        mix = Matrix(f11, [[rng.randrange(11) for _ in range(3)] for _ in range(3)])
+        other = [list(r) for r in rows]
+        other[2][5] = f11.add(other[2][5], 1)
+        if rank(Matrix(f11, rows)) < 3 or rank(mix) < 3 or rank(Matrix(f11, rows + other)) < 4:
+            continue
+        code = LinearCode(f11, Matrix(f11, rows))
+        assert code_eq(code, LinearCode(f11, matmul(mix, code.gen)))
+        assert not code_eq(code, LinearCode(f11, Matrix(f11, other)))
+        seen += 1
+
+
 def test_code_eq_field_mismatch(f11):
     f13 = Field(13)
     a = LinearCode(f11, Matrix(f11, [[1, 2]]))
@@ -281,3 +299,14 @@ def test_malformed_spec_file(f11):
         parse_spec_file("field p=11 s=1 mod=0,1\nalpha: 0 1\nv: 1 1\nk: +1\n")
     with pytest.raises(FormatError):
         parse_spec_file("field p=11 s=1 mod=0,1\nalpha: 0 +1\nv: 1 1\nk: 1\n")
+
+
+def test_undecodable_files(tmp_path):
+    # the last token is the byte 0xff, which no ASCII token contains
+    cases = ((read_matrix_file, b"field p=11 s=1 mod=0,1\nmatrix 1 2\n5 \xff\n"),
+             (read_spec_file, b"field p=11 s=1 mod=0,1\nalpha: 0 1\nv: 1 1\nk: \xff\n"))
+    for i, (read, data) in enumerate(cases):
+        path = tmp_path / f"bad{i}.txt"
+        path.write_bytes(data)
+        with pytest.raises(FormatError):
+            read(path)

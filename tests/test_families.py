@@ -1,5 +1,7 @@
+import functools
 import random
 import warnings
+from itertools import combinations
 
 import pytest
 
@@ -12,8 +14,7 @@ from grskit.families import (MgrsParams, EmgrsParams, TgrsParams,
                              mgrs_generator, emgrs_generator, mgrs_is_mds,
                              emgrs_is_mds, c_code_generator, d_code_generator,
                              tgrs_generator, tgrs_dual_parity,
-                             roth_lempel_generator, col_twisted_generator,
-                             sigma_coeffs)
+                             roth_lempel_generator, col_twisted_generator)
 from grskit.grsid import is_grs
 
 
@@ -23,6 +24,32 @@ def mds_or_rank_deficient(builder):
         return is_mds(builder())
     except ValueError:
         return False
+
+
+@functools.cache
+def subset_polys(f, alpha, m):
+    # (coefficients of prod_{a in S}(x - a), prod(S)) for every m-subset S,
+    # each product rebuilt from scratch
+    out = []
+    for sub in combinations(alpha, m):
+        coeffs = [1]
+        prod = 1
+        for a in sub:
+            na = f.neg(a)
+            coeffs = ([f.mul(coeffs[0], na)]
+                      + [f.add(lo, f.mul(hi, na)) for lo, hi in zip(coeffs, coeffs[1:])]
+                      + [1])
+            prod = f.mul(prod, a)
+        out.append((coeffs, prod))
+    return out
+
+
+def condition_by_subsets(f, alpha, m, t, eta):
+    # the paper's subset condition by its definition:
+    # eta * pi_t(S) != (-1)^(m+1) * prod(S) for every m-subset S
+    sign = f.neg(1) if (m + 1) % 2 else 1
+    return all(f.mul(eta, coeffs[t] if t <= m else 0) != f.mul(sign, prod)
+               for coeffs, prod in subset_polys(f, alpha, m))
 
 
 def test_mgrs_f11_worked_matrix(f11):
@@ -323,34 +350,26 @@ def test_col_twisted_extended_shape(f11):
     assert ct.gen.column(4) == (0, 0, 1)
 
 
-def test_sigma_coeffs_degree_two():
-    f5 = Field(5)
-    pc = sigma_coeffs(f5, (1, 2))
-    assert pc.product == (2, 2, 1)      # x^2 - 3x + 2
-    assert pc.quotients[0] == (3, 1)    # x - 2
-    assert pc.quotients[1] == (4, 1)    # x - 1
-
-
-def test_sigma_coeffs_recurrence_vs_division():
-    rng = random.Random(17)
-    for _ in range(100):
-        q = rng.choice((7, 9, 11, 13))
+def test_predicates_match_subset_oracle():
+    # beyond the fields where is_mds can serve as the oracle: every t in
+    # 1..k-1 (so t = k-1 > k-2 for the second emgrs size), 0 among the
+    # points on half the draws and eta = 0 on a quarter
+    rng = random.Random(18)
+    verdicts = set()
+    for _ in range(30):
+        q = rng.choice((16, 25, 27, 32))
         f = field_from_order(q)
-        k = rng.randrange(2, min(q, 7))
-        alpha = tuple(rng.sample(range(q), k))
-        pc = sigma_coeffs(f, alpha)  # internal product cross-check would raise
-        # top coefficient of every quotient is 1
-        assert all(sig[k - 1] == 1 for sig in pc.quotients)
-        # direct check: f_h(alpha_j) = prod_{m != h} (alpha_j - alpha_m)
-        for h in range(k):
-            j = rng.randrange(k)
-            val = 0
-            x = 1
-            for cth in pc.quotients[h]:
-                val = f.add(val, f.mul(cth, x))
-                x = f.mul(x, alpha[j])
-            expect = 1
-            for m in range(k):
-                if m != h:
-                    expect = f.mul(expect, f.sub(alpha[j], alpha[m]))
-            assert val == expect
+        k = rng.randrange(2, 10)
+        nb = rng.randrange(k, k + 4)
+        alpha = tuple(rng.sample(range(1, q), nb - 1))
+        if rng.random() < 0.5:
+            alpha = alpha[1:] + (0,)
+        eta = 0 if rng.random() < 0.25 else rng.randrange(1, q)
+        v = (1,) * nb
+        for t in range(1, k):
+            want = condition_by_subsets(f, alpha, k - 1, t, eta)
+            assert mgrs_is_mds(MgrsParams(f, alpha, v, eta, t, k)) == want
+            want = want and condition_by_subsets(f, alpha, k - 2, t, eta)
+            assert emgrs_is_mds(EmgrsParams(f, alpha, v, 1, eta, t, k)) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from grskit.gf import (Field, field_new, field_from_order, INF, is_finite,
@@ -129,16 +132,14 @@ def test_element_tokens(f11):
 def test_public_names_used_by_tracing():
     # grsbench/tracer.py looks these up by name and wraps them; a rename
     # would silently drop a layer from its traced runs
-    from grskit import gf, linalg, codes, grsid
-    assert callable(gf.field_new)
-    for name in ("mul", "add", "sub", "neg", "inv", "pow"):
+    path = Path(__file__).resolve().parents[1] / "grsbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("grsbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert callable(field_new)
+    for name in tracer.GF_METHODS:
         assert name in Field.__dict__, name
-    traced = {
-        linalg: ("echelonize", "rref", "det", "matmul", "right_kernel"),
-        codes: ("is_mds", "min_distance", "grs_generator", "dual", "puncture",
-                "shorten", "parse_matrix_file", "format_matrix_file"),
-        grsid: ("is_grs", "recover", "cauchy_test"),
-    }
-    for module, names in traced.items():
+    for module, names in tracer.TRACED.items():
         for name in names:
-            assert callable(getattr(module, name)), f"{module.__name__}.{name}"
+            fn = getattr(importlib.import_module(f"grskit.{module}"), name, None)
+            assert callable(fn), f"{module}.{name}"

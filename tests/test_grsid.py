@@ -197,6 +197,12 @@ def test_is_grs_echelon_failure_verdict(f11):
     assert not verdict.grs and verdict.reason == ECHELON_FAIL
 
 
+def test_cauchy_singular_leading_block_is_false(f11):
+    # full rank, but no systematic form [I | A]: a verdict, not an error
+    rows = [[0, 1, 0, 2, 3, 4], [0, 0, 1, 5, 6, 7], [0, 0, 0, 1, 1, 1]]
+    assert cauchy_test(Matrix(f11, rows)) is False
+
+
 def test_is_grs_rank_deficient_is_error(f11):
     rows = [[1, 0, 0, 1, 1, 1], [0, 1, 0, 2, 2, 2], [1, 1, 0, 3, 3, 3]]
     with pytest.raises(ValueError):
