@@ -13,7 +13,8 @@ file formats; internally everything is 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
+from math import comb
 
 from .gf import Field, INF, is_finite, format_element, parse_element, _parse_decimal
 from . import linalg
@@ -199,15 +200,85 @@ def min_distance(code: LinearCode, cap: int = 1 << 24) -> int:
     return best
 
 
+_MDS_CAP = 1 << 24
+
+
 def is_mds(code: LinearCode) -> bool:
-    """True iff every k × k minor of the generator is nonzero
-    (equivalently d = n - k + 1)."""
-    g = code.gen
-    k = code.k
-    for ci in combinations(range(code.n), k):
-        if linalg.det(linalg.submatrix(g, range(k), ci)) == 0:
+    """True iff every k columns of the generator are linearly independent,
+    i.e. every k × k minor is nonzero (equivalently d = n - k + 1).
+
+    The code is MDS iff its dual is, so when 2k > n the [n, n-k] dual is
+    walked instead; its generator has n - rank rows, so a rank-deficient
+    input (every k × k minor zero) is caught there by the row count.  The
+    walk ends in C(n, k) = C(n, n-k) leaves; more than _MDS_CAP raises
+    ValueError before any walking, so an input past the budget gets no
+    verdict even when an early column subset is dependent.
+    """
+    n, k = code.n, code.k
+    if comb(n, k) > _MDS_CAP:
+        raise ValueError(f"MDS budget exceeded: C({n},{k}) > {_MDS_CAP} "
+                         f"column subsets for n={n}, k={k}")
+    if 2 * k > n:
+        code = dual(code)
+        if code.k != n - k:
             return False
-    return True
+    return _columns_independent(code.field, code.gen.transpose().data, code.k)
+
+
+def _columns_independent(F: Field, cols, k: int) -> bool:
+    """True iff every k of the k-vectors in cols are linearly independent.
+
+    Walks increasing column subsets depth first, so subsets that share a
+    prefix share its elimination.  A node holds the span of its columns
+    as a reduced echelon basis: (pivot, row) pairs, each row 1 at its own
+    pivot and 0 at the others.  A new column is reduced against it and,
+    if nonzero, joins it as one more pivot; a zero reduction is a
+    dependent set of at most k columns, which lies in some k-subset, so
+    the walk stops.  At depth k - 1 the span is a hyperplane with one
+    free coordinate f, and h = e_f - sum_i row_i[f] e_{pivot_i} is normal
+    to it, so each leaf is the one dot product h . g.
+    """
+    n = len(cols)
+    if k == 0:
+        return True
+    mul, sub = F.mul, F.sub
+
+    def walk(basis, start):
+        d = len(basis)
+        if d == k - 1:
+            pivots = {p for p, _ in basis}
+            f = next(c for c in range(k) if c not in pivots)
+            h = [(p, row[f]) for p, row in basis if row[f]]
+            for j in range(start, n):
+                g = cols[j]
+                acc = g[f]
+                for p, c in h:
+                    if g[p]:
+                        acc = sub(acc, mul(c, g[p]))
+                if not acc:
+                    return False
+            return True
+        for j in range(start, n - k + d + 1):
+            r = list(cols[j])
+            for p, row in basis:
+                c = r[p]
+                if c:
+                    r = [sub(x, mul(c, y)) if y else x for x, y in zip(r, row)]
+            p = next((i for i, x in enumerate(r) if x), None)
+            if p is None:
+                return False
+            if r[p] != 1:
+                inv = F.inv(r[p])
+                r = [mul(inv, x) if x else 0 for x in r]
+            child = [(q, [sub(x, mul(row[p], y)) if y else x
+                          for x, y in zip(row, r)]) if row[p] else (q, row)
+                     for q, row in basis]
+            child.append((p, r))
+            if not walk(child, j + 1):
+                return False
+        return True
+
+    return walk([], 0)
 
 
 def code_eq(c1: LinearCode, c2: LinearCode) -> bool:

@@ -1,11 +1,12 @@
 """Explicit maximal-length non-GRS MDS constructions and the length table.
 
 Each builder returns a ConstructionRecord carrying the construction
-parameters together with live verdicts: MDS-ness by k x k minor
-enumeration and GRS-ness by the identification algorithm.  All arbitrary
-choices (non-square element, subspace and coset enumeration order) are
-fixed deterministically from the field's primitive element, so records
-are reproducible byte for byte.
+parameters together with live verdicts: MDS-ness by a depth-first walk
+over the column subsets of the code or its dual (codes.is_mds) and
+GRS-ness by the identification algorithm.  All arbitrary choices
+(non-square element, subspace and coset enumeration order) are fixed
+deterministically from the field's primitive element, so records are
+reproducible byte for byte.
 """
 
 from __future__ import annotations

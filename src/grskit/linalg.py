@@ -89,12 +89,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(F, out, cols=b.cols, check=False)
 
 
-def vstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.field != b.field or a.cols != b.cols:
-        raise ValueError("incompatible stack")
-    return Matrix(a.field, list(a.data) + list(b.data), cols=a.cols, check=False)
-
-
 def submatrix(m: Matrix, row_idx, col_idx) -> Matrix:
     rows = [[m.data[i][j] for j in col_idx] for i in row_idx]
     return Matrix(m.field, rows, cols=len(tuple(col_idx)), check=False)

@@ -184,6 +184,18 @@ def test_rank_deficient_input_exit_code(tmp_path, capsys):
         assert out == "" and err.startswith("error:"), kind
 
 
+def test_mds_budget_exit_code(tmp_path, capsys):
+    # C(40, 20) ~ 1.4e11 column subsets: refused up front, not walked
+    path = tmp_path / "grs.txt"
+    rc, _, _ = run(capsys, "construct", "--q", "41", "--family", "grs",
+                   "--n", "40", "--k", "20", "--out", str(path))
+    assert rc == 0
+    rc, out, err = run(capsys, "check", "--kind", "mds", "--in", str(path))
+    assert rc == 2 and out == ""
+    assert err.strip() == ("error: MDS budget exceeded: C(40,20) > 16777216 "
+                           "column subsets for n=40, k=20")
+
+
 def test_singular_leading_block_verdicts(tmp_path, capsys):
     # full rank with a zero first column: a verdict under both GRS kinds
     path = tmp_path / "singular.txt"

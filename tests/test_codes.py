@@ -1,16 +1,17 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from grskit.gf import Field, field_from_order, INF
-from grskit.linalg import Matrix, matmul, is_zero, rank
+from grskit.linalg import Matrix, matmul, is_zero, rank, det, submatrix
 from grskit.codes import (LinearCode, GrsSpec, FormatError, grs_generator,
                           grs_dual_multipliers, dual, puncture, shorten,
                           min_distance, is_mds, code_eq,
                           format_matrix_file, parse_matrix_file,
                           format_spec_file, parse_spec_file,
                           read_matrix_file, read_spec_file)
-from grskit.grsid import random_grs_spec
+from grskit.grsid import CountingField, random_grs_spec
 
 
 def test_grs_generator_vandermonde():
@@ -185,6 +186,91 @@ def test_is_mds_agrees_with_min_distance():
                     break
             c = LinearCode(f, m)
             assert is_mds(c) == (min_distance(c) == n - k + 1)
+
+
+def mds_by_minors(code):
+    """Oracle: every k × k minor of the generator is nonzero."""
+    g, k = code.gen, code.k
+    return all(det(submatrix(g, range(k), ci)) != 0
+               for ci in combinations(range(code.n), k))
+
+
+def _draw_generator(f, n, k, kind, rng):
+    """A k × n generator of the given kind; a GRS kind longer than q + 1
+    falls back to a random full-rank generator."""
+    q = f.q
+    if kind in ("grs", "grs-changed") and n <= q + 1:
+        with_inf = n == q + 1 or rng.random() < 0.5
+        rows = [list(r) for r in
+                grs_generator(random_grs_spec(f, n, k, rng, with_inf)).gen.data]
+        if kind == "grs-changed":
+            i, j = rng.randrange(k), rng.randrange(n)
+            x = rng.randrange(q - 1)
+            rows[i][j] = x + (x >= rows[i][j])
+        return Matrix(f, rows)
+    if kind == "deficient":
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k - 1)]
+        last = [0] * n
+        for r in rows:
+            c = rng.randrange(q)
+            last = [f.add(x, f.mul(c, y)) for x, y in zip(last, r)]
+        return Matrix(f, rows + [last])
+    while True:
+        m = Matrix(f, [[rng.randrange(q) for _ in range(n)] for _ in range(k)])
+        if rank(m) == k:
+            return m
+
+
+def test_is_mds_matches_minor_enumeration():
+    # every shape with n <= 8 and 1 <= k <= n (so k = n and 2k = n too),
+    # four kinds each: GRS with and without infinity, GRS with one entry
+    # changed, random full rank, and rank-deficient built with check=False
+    rng = random.Random(8)
+    kinds = ("grs", "grs-changed", "random", "deficient")
+    draws = mds = 0
+    for q in (4, 7, 8, 9, 11, 13, 16, 25):
+        f = field_from_order(q)
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                for kind in kinds:
+                    for _ in range(2 if kind.startswith("grs") else 1):
+                        m = _draw_generator(f, n, k, kind, rng)
+                        c = LinearCode(f, m, check=False)
+                        want = mds_by_minors(c)
+                        assert is_mds(c) == want, (q, m.data)
+                        draws += 1
+                        mds += want
+    assert draws >= 1500
+    assert 0.3 * draws < mds < 0.9 * draws
+
+
+def test_is_mds_rank_deficient(f11):
+    # 2k > n walks the dual, 2k <= n walks the code: both must say False
+    m = Matrix(f11, [[1, 2, 3, 4], [0, 1, 5, 7], [1, 3, 8, 0]])
+    assert rank(m) == 2
+    assert not is_mds(LinearCode(f11, m, check=False))
+    m = Matrix(f11, [[1, 2, 3, 4, 5, 6], [2, 4, 6, 8, 10, 1]])
+    assert rank(m) == 1
+    assert not is_mds(LinearCode(f11, m, check=False))
+
+
+def test_is_mds_budget():
+    # C(40, 20) ~ 1.4e11 column subsets: refused before any walking
+    f = field_from_order(41)
+    c = grs_generator(random_grs_spec(f, 40, 20, random.Random(9)))
+    with pytest.raises(ValueError, match=r"C\(40,20\) > 16777216 .* n=40, k=20"):
+        is_mds(c)
+
+
+def test_is_mds_op_ceiling_extended_grs():
+    # the extended GRS [17,14] code over GF(16) walks its [17,3] dual:
+    # 6,678 field operations, against 973,333 for the 680 minors
+    f = field_from_order(16)
+    cf = CountingField(f)
+    g = grs_generator(GrsSpec(f, tuple(range(16)) + (INF,), (1,) * 17, 14)).gen
+    code = LinearCode(cf, Matrix(cf, g.data, check=False), check=False)
+    assert is_mds(code)
+    assert cf.ops <= 13_356
 
 
 def test_code_eq_row_permutation(f11):

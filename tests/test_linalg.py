@@ -4,7 +4,7 @@ from itertools import permutations, product
 import pytest
 
 from grskit.gf import Field, field_from_order
-from grskit.linalg import (Matrix, identity, matmul, vstack, submatrix,
+from grskit.linalg import (Matrix, identity, matmul, submatrix,
                            echelonize, rref, rank, det, minor, right_kernel,
                            is_zero)
 from .conftest import COUNTEREXAMPLE_ROWS
@@ -163,9 +163,7 @@ def test_rref_pivots(f11):
     assert red.data[0] == (0, 1, 2)
 
 
-def test_vstack_and_validation(f11):
-    a = Matrix(f11, [[1, 2]])
-    assert vstack(a, a).rows == 2
+def test_matrix_validation(f11):
     with pytest.raises(ValueError):
         Matrix(f11, [[1, 2], [3]])
     with pytest.raises(ValueError):
