@@ -5,7 +5,7 @@ decisions, and recovery of the defining evaluation points and column
 multipliers from any generator matrix.
 """
 
-from .gf import Field, field_new, field_from_order, INF, is_finite, proj_inv, proj_add
+from .gf import Field, field_new, field_from_order, INF, is_finite, proj_inv
 from .linalg import (Matrix, identity, matmul, echelonize, rref, rank, det,
                      minor, right_kernel)
 from .codes import (LinearCode, GrsSpec, FormatError, grs_generator,

@@ -12,7 +12,8 @@ import sys
 from .gf import Field, field_from_order, INF
 from .codes import (LinearCode, GrsSpec, FormatError, grs_generator, dual,
                     puncture, shorten, min_distance, is_mds,
-                    read_matrix_file, format_matrix_file, write_spec_file)
+                    read_matrix_file, format_matrix_file, write_matrix_file,
+                    write_spec_file)
 from .families import (MgrsParams, EmgrsParams, TgrsParams, RothLempelParams,
                        TWIST_ZERO, TWIST_TOP, mgrs_generator, emgrs_generator,
                        tgrs_generator, roth_lempel_generator,
@@ -106,19 +107,21 @@ def cmd_field(args) -> int:
     return 0
 
 
+def _emit(code: LinearCode, out) -> int:
+    """Write the generator to the file out, or to stdout without one."""
+    if out:
+        write_matrix_file(out, code.gen)
+        print(f"wrote {out} n={code.n} k={code.k}")
+    else:
+        sys.stdout.write(format_matrix_file(code.gen))
+    return 0
+
+
 def cmd_construct(args) -> int:
     field = _field_from_args(args)
     if args.family not in FAMILIES:
         raise UsageError(f"--family must be one of {', '.join(FAMILIES)}")
-    code = _build_family(field, args)
-    text = format_matrix_file(code.gen)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out} n={code.n} k={code.k}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(_build_family(field, args), args.out)
 
 
 def cmd_check(args) -> int:
@@ -162,14 +165,7 @@ def cmd_transform(args) -> int:
         out = shorten(code, _positions(args.pos))
     else:
         raise UsageError(f"unknown transform {args.op!r}")
-    text = format_matrix_file(out.gen)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out} n={out.n} k={out.k}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(out, args.out)
 
 
 def cmd_table1(args) -> int:

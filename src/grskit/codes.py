@@ -171,12 +171,16 @@ def shorten(code: LinearCode, positions) -> LinearCode:
     return LinearCode(F, gen)
 
 
-def min_distance(code: LinearCode, cap: int = 1 << 24) -> int:
-    """Exact minimum Hamming weight by enumerating all q^k messages."""
+_MIN_DISTANCE_CAP = 1 << 24
+
+
+def min_distance(code: LinearCode) -> int:
+    """Exact minimum Hamming weight by enumerating all q^k messages; more
+    than _MIN_DISTANCE_CAP messages raises ValueError before any."""
     F = code.field
     q, k, n = F.q, code.k, code.n
-    if q ** k > cap:
-        raise ValueError(f"enumeration budget exceeded: {q}^{k} > {cap}")
+    if q ** k > _MIN_DISTANCE_CAP:
+        raise ValueError(f"enumeration budget exceeded: {q}^{k} > {_MIN_DISTANCE_CAP}")
     rows = code.gen.data
     best = n + 1
     for msg in product(range(q), repeat=k):

@@ -203,20 +203,25 @@ def char2_k4(field: Field, k: int) -> ConstructionRecord:
     raise ValueError("k must be 4 or (q-2)/2")
 
 
-def ngrs_q2_3(field: Field) -> ConstructionRecord:
-    """Characteristic 2, the [q+2, 3] code: squares row extended by two
-    unit columns; every field element is an evaluation point."""
-    if field.p != 2:
-        raise ValueError("needs characteristic 2")
-    F = field
+def _roth_lempel_code(F: Field) -> LinearCode:
+    # the [q+2, 3] code of ngrs_q2_3, built without verdicts
     q = F.q
     row0 = [1] * q + [0, 0]
     row1 = list(F.elements()) + [0, 1]
     row2 = [F.mul(a, a) for a in F.elements()] + [1, 0]
     gen = Matrix(F, [row0, row1, row2], cols=q + 2, check=False)
-    code = LinearCode(F, gen, check=False)
+    return LinearCode(F, gen, check=False)
+
+
+def ngrs_q2_3(field: Field) -> ConstructionRecord:
+    """Characteristic 2, the [q+2, 3] code: squares row extended by two
+    unit columns; every field element is an evaluation point."""
+    if field.p != 2:
+        raise ValueError("needs characteristic 2")
+    q = field.q
     params = {"alpha": _fmt_seq(range(q)), "delta": "0"}
-    return _verify(ConstructionRecord("roth-lempel", q, 3, q + 2, params, code))
+    return _verify(ConstructionRecord("roth-lempel", q, 3, q + 2, params,
+                                      _roth_lempel_code(field)))
 
 
 def tgrs_punctured(field: Field, k: int) -> ConstructionRecord:
@@ -229,10 +234,8 @@ def tgrs_punctured(field: Field, k: int) -> ConstructionRecord:
     if not q // 2 <= k < q - 1:
         raise ValueError(f"need {q // 2} <= k <= {q - 2}")
     s = q - 1 - k
-    base = ngrs_q2_3(field)
     positions = list(range(1, s)) + [q + 1]
-    punck = puncture(base.code, positions)
-    code = dual(punck)
+    code = dual(puncture(_roth_lempel_code(field), positions))
     params = {"derived": f"dual-of-punctured-[{q + 2},3]", "punctured": _fmt_seq(positions)}
     rec = ConstructionRecord("twisted-grs", q, code.k, code.n, params, code)
     return _verify(rec)
@@ -269,7 +272,8 @@ def table1(field: Field) -> Table1Report:
         records.append(rec)
 
     if field.p == 2:
-        check_len(ngrs_q2_3(field), "ngrs")
+        roth_lempel = ngrs_q2_3(field)
+        check_len(roth_lempel, "ngrs")
         check_len(char2_k4(field, 4), "char2-k4")
         lo, hi = 5, (q - 4) // 2
         if lo > hi:
@@ -281,7 +285,7 @@ def table1(field: Field) -> Table1Report:
             check_len(char2_k4(field, (q - 2) // 2), "char2-k4")
         for k in range(q // 2, q - 1):
             check_len(tgrs_punctured(field, k), "tgrs-punctured")
-        check_len(_dual_record("roth-lempel-dual", ngrs_q2_3(field)), "ngrs")
+        check_len(_dual_record("roth-lempel-dual", roth_lempel), "ngrs")
     else:
         check_len(odd_k3(field, 3), "odd-k3")
         lo, hi = 4, (q - 3) // 2

@@ -337,13 +337,6 @@ def proj_inv(field: Field, x):
     return field.inv(x)
 
 
-def proj_add(field: Field, x, b: int):
-    """Sum of a projective element and a field element: inf + b = inf."""
-    if x is INF:
-        return INF
-    return field.add(x, b)
-
-
 def format_element(x) -> str:
     return "inf" if x is INF else str(x)
 

@@ -9,15 +9,18 @@ deterministic non-GRS verdict; combined with a final regenerate-and-
 compare step this decides GRS-ness exactly.
 
 Supported shapes are 3 <= k <= n-2 (the equations need the three leading
-identity columns and two parity columns).  Lengths up to q are reduced to
-all-finite evaluation points; length q+1 keeps one point at infinity,
-moved to the last coordinate.  Longer inputs fail the distinctness guard,
-which is the correct verdict.
+identity columns and two parity columns).  One chart change,
+x -> 1/(x - c), moves the recovered points off infinity: up to length q
+c is a field element that is no point, so all points become finite; at
+length q+1 c is the last point, which keeps the point at infinity, now in
+the last coordinate.  Longer inputs fail the distinctness guard, which is
+the correct verdict.
 
 is_grs eliminates its input once; the pivot columns separate a
 rank-deficient input (an error) from a singular leading block (a
 non-GRS verdict).  cauchy_test decides the Roth-Seroussi Cauchy form of
-[I | A] from row ratios and one rank, without enumerating minors.
+[I | A], which for 3 <= k <= n-2 is is_grs's verdict; on the other shapes
+only the nonzero entries and, for k = 2, distinct column ratios remain.
 brute_force_recover is the exhaustive oracle for small codes of length
 at most q.
 """
@@ -27,7 +30,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 from statistics import median
 
 from .gf import Field, INF, is_finite, proj_inv, format_element
@@ -77,57 +80,32 @@ def trans_to_grs(field: Field, alpha, k: int, v=None):
     """Rewrite an evaluation-point vector containing the point at infinity
     into an all-finite one generating the same code.
 
-    Step 1 shifts every finite point by the smallest field element outside
-    the point set whenever 0 occurs among them; step 2 replaces each point
-    by its reciprocal, scaling the multiplier at formerly-finite positions
-    by alpha^(k-1).  A vector without infinity is returned unchanged.
-    Returns (alpha, v); v is None when not supplied.
+    The chart change is x -> 1/(x - c) with c the smallest field element
+    outside the point set (c = 0 whenever 0 is not a point); the multiplier
+    at each finite point is scaled by (alpha - c)^(k-1).  A vector without
+    infinity is returned unchanged.  Returns (alpha, v); v is None when not
+    supplied.
     """
-    alpha = list(alpha)
-    n = len(alpha)
-    v = None if v is None else list(v)
     if not any(a is INF for a in alpha):
         return tuple(alpha), None if v is None else tuple(v)
-    finite = [a for a in alpha if is_finite(a)]
-    if 0 in finite:
-        taken = set(finite)
-        lam = next((e for e in range(field.q) if e not in taken), None)
-        if lam is None:
-            raise ValueError("no shift element available (length q+1 with 0 present)")
-        alpha = [field.sub(a, lam) if is_finite(a) else INF for a in alpha]
-    out_a = []
-    out_v = None if v is None else []
-    for j in range(n):
-        a = alpha[j]
-        if a is INF:
-            out_a.append(0)
-            if v is not None:
-                out_v.append(v[j])
-        else:
-            out_a.append(field.inv(a))
-            if v is not None:
-                out_v.append(field.mul(v[j], field.pow(a, k - 1)))
-    return tuple(out_a), None if v is None else tuple(out_v)
+    taken = {a for a in alpha if is_finite(a)}
+    c = next((e for e in range(field.q) if e not in taken), None)
+    if c is None:
+        raise ValueError("no shift element available (length q+1 with 0 present)")
+    return _recentre(field, alpha, k, c, v)
 
 
-def _move_inf_last(field: Field, alpha, k: int, v=None):
-    """Length-q+1 variant: send the point at infinity to the last
-    coordinate via x -> 1/(x - alpha_n), keeping the code fixed."""
-    F = field
-    alpha = list(alpha)
-    n = len(alpha)
-    c = alpha[n - 1]
+def _recentre(F: Field, alpha, k: int, c, v=None):
+    """Apply x -> 1/(x - c), which keeps the code fixed: c goes to
+    infinity and infinity to 0.  The multiplier at each point sent to a
+    finite nonzero value is scaled by (alpha - c)^(k-1); the others keep
+    theirs.  Returns (alpha, v); v is None when not supplied."""
     shifted = [F.sub(a, c) if is_finite(a) else INF for a in alpha]
-    out_a = [proj_inv(F, a) for a in shifted]
+    out_a = tuple(proj_inv(F, a) for a in shifted)
     if v is None:
-        return tuple(out_a), None
-    out_v = []
-    for a, vj in zip(shifted, v):
-        if a is INF or a == 0:
-            out_v.append(vj)
-        else:
-            out_v.append(F.mul(vj, F.pow(a, k - 1)))
-    return tuple(out_a), tuple(out_v)
+        return out_a, None
+    return out_a, tuple(vj if a is INF or a == 0 else F.mul(vj, F.pow(a, k - 1))
+                        for a, vj in zip(shifted, v))
 
 
 def _validate_systematic(m: Matrix):
@@ -185,11 +163,9 @@ def _recover_parts(m: Matrix):
         _check_distinct(alpha[1:])
         _check_multipliers(v[1:])
         raw = tuple(alpha[1:])
-        if n <= F.q:
-            out_a, out_v = trans_to_grs(F, raw, k, v[1:])
-        else:
-            out_a, out_v = _move_inf_last(F, raw, k, v[1:])
-        return out_a, out_v, raw
+        if n > F.q:  # every element is a point: send alpha_n to infinity
+            return _recentre(F, raw, k, raw[-1], v[1:]) + (raw,)
+        return trans_to_grs(F, raw, k, v[1:]) + (raw,)
 
     for i in range(4, k + 1):
         bik1, bik2 = B(i, k + 1), B(i, k + 2)
@@ -207,10 +183,10 @@ def _recover_parts(m: Matrix):
 
     _check_distinct(alpha[1:])
     raw = tuple(alpha[1:])
-    if n <= F.q:
-        a_new, _ = trans_to_grs(F, raw, k)
+    if n > F.q:
+        a_new, _ = _recentre(F, raw, k, raw[-1])
     else:
-        a_new, _ = _move_inf_last(F, raw, k)
+        a_new, _ = trans_to_grs(F, raw, k)
 
     # multipliers via the Lagrange structure at columns 1..k and column k+1,
     # normalized to v_{k+1} = 1
@@ -315,29 +291,28 @@ def cauchy_test(g: Matrix) -> bool:
     Seroussi): all entries of A nonzero, all 2x2 minors of the entrywise
     inverse C nonzero, all 3x3 minors of C zero.
 
-    No minor is enumerated.  A 2x2 minor of C on rows i, i' and columns
-    j, j' vanishes iff a_i'j / a_ij = a_i'j' / a_ij', so the first
-    condition is that for every pair of rows the ratios a_i'j / a_ij are
-    pairwise distinct over j.  All 3x3 minors of C vanish iff
-    rank(C) <= 2.  Both conditions are vacuous for shapes too small to
-    have such minors.  A singular leading block has no systematic form,
-    so the verdict is False; a rank-deficient g raises ValueError.
+    By Roth and Seroussi (1985) that holds iff [I | A] generates a GRS
+    code, so for 3 <= k <= n-2 the verdict is is_grs's.  The other shapes
+    have no 3x3 minor of C, and a 2x2 minor only for k = 2, where the one
+    on columns j, j' vanishes iff a_2j / a_1j = a_2j' / a_1j'.  A singular
+    leading block has no systematic form, so the verdict is False; a
+    rank-deficient g raises ValueError.
     """
+    k, n = g.rows, g.cols
+    if 3 <= k <= n - 2:
+        return is_grs(g).grs
     m, pivots = linalg.rref(g)
-    if len(pivots) < g.rows:
+    if len(pivots) < k:
         raise ValueError("rank-deficient generator matrix")
-    if pivots != tuple(range(g.rows)):
+    if pivots != tuple(range(k)):
         return False
-    F = m.field
-    k, nk = m.rows, m.cols - m.rows
     a = [row[k:] for row in m.data]
     if any(e == 0 for row in a for e in row):
         return False
-    c = [[F.inv(e) for e in row] for row in a]
-    for i, j in combinations(range(k), 2):
-        if len({F.mul(y, x) for x, y in zip(c[i], a[j])}) < nk:
-            return False
-    return linalg.rank(Matrix(F, c, cols=nk, check=False)) <= 2
+    if k == 2:
+        F = m.field
+        return len({F.mul(y, F.inv(x)) for x, y in zip(*a)}) == n - k
+    return True
 
 
 def brute_force_recover(code: LinearCode):

@@ -41,17 +41,11 @@ class Matrix:
     def rows(self) -> int:
         return len(self.data)
 
-    def row(self, i):
-        return self.data[i]
-
     def column(self, j):
         return tuple(r[j] for r in self.data)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, list(zip(*self.data)), cols=self.rows, check=False)
-
-    def to_lists(self):
-        return [list(r) for r in self.data]
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field

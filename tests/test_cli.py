@@ -196,6 +196,17 @@ def test_mds_budget_exit_code(tmp_path, capsys):
                            "column subsets for n=40, k=20")
 
 
+def test_min_distance_budget_exit_code(tmp_path, capsys):
+    # 257^3 messages > 2^24: refused before any is enumerated
+    path = tmp_path / "grs.txt"
+    rc, _, _ = run(capsys, "construct", "--q", "257", "--family", "grs",
+                   "--n", "4", "--k", "3", "--out", str(path))
+    assert rc == 0
+    rc, out, err = run(capsys, "check", "--kind", "min-dist", "--in", str(path))
+    assert rc == 2 and out == ""
+    assert err.strip() == "error: enumeration budget exceeded: 257^3 > 16777216"
+
+
 def test_singular_leading_block_verdicts(tmp_path, capsys):
     # full rank with a zero first column: a verdict under both GRS kinds
     path = tmp_path / "singular.txt"

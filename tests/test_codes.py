@@ -150,10 +150,12 @@ def test_min_distance_repetition(f11):
     assert min_distance(rep) == 6
 
 
-def test_min_distance_budget(f11):
-    c = grs_generator(random_grs_spec(f11, 8, 3, random.Random(0)))
-    with pytest.raises(ValueError):
-        min_distance(c, cap=100)
+def test_min_distance_budget():
+    # 257^3 = 16,974,593 messages > 2^24: refused before any is enumerated
+    f257 = Field(257)
+    c = grs_generator(GrsSpec(f257, (0, 1, 2, 3), (1,) * 4, 3))
+    with pytest.raises(ValueError, match=r"enumeration budget exceeded: 257\^3 > 16777216"):
+        min_distance(c)
 
 
 def test_is_mds_duplicate_columns(f11):

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from grskit.gf import (Field, field_new, field_from_order, INF, is_finite,
-                       proj_inv, proj_add, format_element, parse_element)
+                       proj_inv, format_element, parse_element)
 
 
 def test_f11_primitive_and_inverse(f11):
@@ -103,8 +103,6 @@ def test_projective_conventions(f11):
     assert proj_inv(f11, 0) is INF
     assert proj_inv(f11, INF) == 0
     assert proj_inv(f11, 3) == 4
-    assert proj_add(f11, INF, 5) is INF
-    assert proj_add(f11, 7, 5) == 1
     for x in list(f11.elements()) + [INF]:
         y = proj_inv(f11, proj_inv(f11, x))
         assert (y is INF) if x is INF else (y == x)
