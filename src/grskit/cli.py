@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .gf import Field, field_from_order, INF
+from .gf import Field, field_from_order, INF, _parse_modulus
 from .codes import (LinearCode, GrsSpec, FormatError, grs_generator, dual,
                     puncture, shorten, min_distance, is_mds,
                     read_matrix_file, format_matrix_file, write_matrix_file,
@@ -31,11 +31,11 @@ class UsageError(ValueError):
 
 def _field_from_args(args) -> Field:
     if getattr(args, "q", None):
+        if (args.p, args.s, args.mod) != (None, None, None):
+            raise UsageError("--q excludes --p, --s and --mod")
         return field_from_order(args.q)
     if getattr(args, "p", None):
-        mod = None
-        if getattr(args, "mod", None):
-            mod = tuple(int(c) for c in args.mod.split(","))
+        mod = None if args.mod is None else _parse_modulus(args.mod, args.p)
         return Field(args.p, args.s or 1, mod)
     raise UsageError("specify --q or --p/--s")
 

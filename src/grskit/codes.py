@@ -1,4 +1,5 @@
-"""Generic linear-code operations and the GRS evaluation-code carrier.
+"""Generic linear-code operations, the GRS evaluation-code carrier and the
+evaluation map behind every generator builder.
 
 A LinearCode is a field plus a full-rank generator matrix.  A GrsSpec is
 the pair (alpha, v) of evaluation points and nonzero column multipliers
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb
 
-from .gf import Field, INF, is_finite, format_element, parse_element, _parse_decimal
+from .gf import (Field, INF, is_finite, format_element, parse_element, _parse_decimal,
+                 _parse_modulus)
 from . import linalg
 from .linalg import Matrix
 
@@ -90,25 +92,34 @@ class GrsSpec:
         return any(a is INF for a in self.alpha)
 
 
+def _eval_columns(F: Field, alpha, k, v=None) -> list:
+    """The evaluation map: column j is v_j * (1, a, ..., a^(k-1)) for a
+    finite point a = alpha_j and v_j * e_(k-1) (the top coefficient) for
+    a = INF; v defaults to all ones."""
+    cols = []
+    for j, a in enumerate(alpha):
+        x = 1 if v is None else v[j]
+        if a is INF:
+            cols.append([0] * (k - 1) + [x])
+            continue
+        col = []
+        for _ in range(k):
+            col.append(x)
+            x = F.mul(x, a)
+        cols.append(col)
+    return cols
+
+
+def _cols_to_code(F: Field, cols, k, check=True) -> LinearCode:
+    rows = [[c[i] for c in cols] for i in range(k)]
+    return LinearCode(F, Matrix(F, rows, cols=len(cols), check=False), check=check)
+
+
 def grs_generator(spec: GrsSpec) -> LinearCode:
     """Canonical k × n generator: row i is v_j * alpha_j^i, and the column
     at infinity is v_j * e_{k-1} (the top-coefficient evaluation)."""
     F = spec.field
-    k = spec.k
-    cols = []
-    for a, vj in zip(spec.alpha, spec.v):
-        if a is INF:
-            col = [0] * k
-            col[k - 1] = vj
-        else:
-            col = []
-            x = vj
-            for _ in range(k):
-                col.append(x)
-                x = F.mul(x, a)
-        cols.append(col)
-    rows = [[cols[j][i] for j in range(spec.n)] for i in range(k)]
-    return LinearCode(F, Matrix(F, rows, cols=spec.n, check=False), check=False)
+    return _cols_to_code(F, _eval_columns(F, spec.alpha, spec.k, spec.v), spec.k, check=False)
 
 
 def grs_dual_multipliers(spec: GrsSpec) -> tuple:
@@ -313,7 +324,7 @@ def _parse_field_header(line: str) -> Field:
         kv = dict(p.split("=", 1) for p in parts[1:])
         p = _parse_decimal(kv["p"])
         s = _parse_decimal(kv["s"])
-        mod = tuple(_parse_decimal(c) for c in kv["mod"].split(","))
+        mod = _parse_modulus(kv["mod"], p)
     except (ValueError, KeyError) as e:
         raise FormatError(f"bad field header: {line!r}") from e
     try:
@@ -377,9 +388,11 @@ def parse_spec_file(text: str) -> GrsSpec:
     try:
         alpha = [parse_element(field, t, allow_inf=True) for t in body(lines[1], "alpha")]
         v = [parse_element(field, t) for t in body(lines[2], "v")]
-        k = _parse_decimal(body(lines[3], "k")[0])
-        return GrsSpec(field, tuple(alpha), tuple(v), k)
-    except (ValueError, IndexError) as e:
+        k_toks = body(lines[3], "k")
+        if len(k_toks) != 1:
+            raise ValueError(f"expected one token on the k line, got {len(k_toks)}")
+        return GrsSpec(field, tuple(alpha), tuple(v), _parse_decimal(k_toks[0]))
+    except ValueError as e:
         raise FormatError(str(e)) from e
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .gf import Field, format_element
 from .codes import LinearCode, is_mds, dual, puncture
-from .families import MgrsParams, EmgrsParams, mgrs_generator, emgrs_generator
-from .linalg import Matrix
+from .families import (MgrsParams, EmgrsParams, RothLempelParams, mgrs_generator,
+                       emgrs_generator, roth_lempel_generator)
 from . import grsid
 
 
@@ -77,6 +77,9 @@ def _fmt_seq(xs) -> str:
     return ",".join(format_element(x) for x in xs)
 
 
+# the record builders leave verdicts to _verify, so a dual row verifies
+# its dual code only
+
 def _mgrs_record(family: str, p: MgrsParams) -> ConstructionRecord:
     code = mgrs_generator(p)
     params = {
@@ -85,7 +88,7 @@ def _mgrs_record(family: str, p: MgrsParams) -> ConstructionRecord:
         "eta": str(p.eta),
         "t": str(p.t),
     }
-    return _verify(ConstructionRecord(family, p.field.q, p.k, p.n, params, code))
+    return ConstructionRecord(family, p.field.q, p.k, p.n, params, code)
 
 
 def _emgrs_record(family: str, p: EmgrsParams) -> ConstructionRecord:
@@ -96,7 +99,7 @@ def _emgrs_record(family: str, p: EmgrsParams) -> ConstructionRecord:
         "eta": str(p.eta),
         "t": str(p.t),
     }
-    return _verify(ConstructionRecord(family, p.field.q, p.k, p.n, params, code))
+    return ConstructionRecord(family, p.field.q, p.k, p.n, params, code)
 
 
 def _dual_record(family: str, primal: ConstructionRecord) -> ConstructionRecord:
@@ -129,7 +132,7 @@ def star_modified(field: Field, k: int) -> ConstructionRecord:
     assert field.pow(eta_prime, (q - 1) // 2) == field.neg(1)
     eta = eta_prime if k % 2 == 0 else field.neg(eta_prime)
     params = MgrsParams(field, tuple(alpha), (1,) * n, eta, k - 1, k)
-    return _mgrs_record("modified-grs-star", params)
+    return _verify(_mgrs_record("modified-grs-star", params))
 
 
 def odd_k3(field: Field, k: int) -> ConstructionRecord:
@@ -149,7 +152,7 @@ def odd_k3(field: Field, k: int) -> ConstructionRecord:
     params = MgrsParams(field, tuple(alpha), (1,) * n, field.neg(1), 2, 3)
     primal = _mgrs_record("modified-grs", params)
     if k == 3:
-        return primal
+        return _verify(primal)
     if k == (q - 1) // 2:
         return _dual_record("modified-grs-dual", primal)
     raise ValueError("k must be 3 or (q-1)/2")
@@ -177,9 +180,9 @@ def plus_modified(field: Field, k: int, extended: bool) -> ConstructionRecord:
     eta = field.inv(field.pow(field.primitive, field.s - 1))
     if extended:
         params = EmgrsParams(field, tuple(alpha), (1,) * n, 1, eta, 1, k)
-        return _emgrs_record("modified-grs-plus-extended", params)
+        return _verify(_emgrs_record("modified-grs-plus-extended", params))
     params = MgrsParams(field, tuple(alpha), (1,) * n, eta, 1, k)
-    return _mgrs_record("modified-grs-plus", params)
+    return _verify(_mgrs_record("modified-grs-plus", params))
 
 
 def char2_k4(field: Field, k: int) -> ConstructionRecord:
@@ -197,7 +200,7 @@ def char2_k4(field: Field, k: int) -> ConstructionRecord:
     params = MgrsParams(field, tuple(alpha), (1,) * n, 1, 1, 4)
     primal = _mgrs_record("modified-grs", params)
     if k == 4:
-        return primal
+        return _verify(primal)
     if k == (q - 2) // 2:
         return _dual_record("modified-grs-dual", primal)
     raise ValueError("k must be 4 or (q-2)/2")
@@ -205,12 +208,7 @@ def char2_k4(field: Field, k: int) -> ConstructionRecord:
 
 def _roth_lempel_code(F: Field) -> LinearCode:
     # the [q+2, 3] code of ngrs_q2_3, built without verdicts
-    q = F.q
-    row0 = [1] * q + [0, 0]
-    row1 = list(F.elements()) + [0, 1]
-    row2 = [F.mul(a, a) for a in F.elements()] + [1, 0]
-    gen = Matrix(F, [row0, row1, row2], cols=q + 2, check=False)
-    return LinearCode(F, gen, check=False)
+    return roth_lempel_generator(RothLempelParams(F, tuple(F.elements()), 0, 3))
 
 
 def ngrs_q2_3(field: Field) -> ConstructionRecord:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .gf import Field, INF, proj_inv
 from . import linalg
 from .linalg import Matrix
-from .codes import LinearCode
+from .codes import LinearCode, GrsSpec, grs_dual_multipliers, _eval_columns, _cols_to_code
 
 TWIST_ZERO = "zero"
 TWIST_TOP = "top"
@@ -151,31 +151,17 @@ class RothLempelParams:
 
 
 # ---------------- generator builders ----------------
-
-def _vandermonde_cols(field: Field, alpha, k):
-    cols = []
-    for a in alpha:
-        col = []
-        x = 1
-        for _ in range(k):
-            col.append(x)
-            x = field.mul(x, a)
-        cols.append(col)
-    return cols
-
-
-def _cols_to_code(field: Field, cols, k, check=True) -> LinearCode:
-    rows = [[c[i] for c in cols] for i in range(k)]
-    return LinearCode(field, Matrix(field, rows, cols=len(cols), check=False), check=check)
-
+#
+# Every builder is codes._eval_columns on its evaluation points (INF for a
+# top-coefficient column) plus at most two columns of its own.
 
 def _mgrs_cols(field, alpha, v, eta, t, k):
-    cols = _vandermonde_cols(field, alpha, k)
+    cols = _eval_columns(field, alpha, k, v)
     special = [0] * k
-    special[0] = 1
-    special[t] = eta
+    special[0] = v[-1]
+    special[t] = field.mul(v[-1], eta)
     cols.append(special)
-    return [[field.mul(vj, e) for e in col] for vj, col in zip(v, cols)]
+    return cols
 
 
 def mgrs_generator(p: MgrsParams) -> LinearCode:
@@ -186,9 +172,7 @@ def mgrs_generator(p: MgrsParams) -> LinearCode:
 def emgrs_generator(p: EmgrsParams) -> LinearCode:
     F = p.field
     cols = _mgrs_cols(F, p.alpha, p.v, p.eta, p.t, p.k)
-    ext = [0] * p.k
-    ext[p.k - 1] = p.v_ext
-    cols.append(ext)
+    cols += _eval_columns(F, (INF,), p.k, (p.v_ext,))
     return _cols_to_code(F, cols, p.k)
 
 
@@ -201,8 +185,7 @@ def c_code_generator(field: Field, alpha, t: int, k: int) -> LinearCode:
         raise ValueError("need 1 <= t < k-1")
     if k > len(alpha):
         raise ValueError("k > n")
-    cols = _vandermonde_cols(field, alpha, k + 1)
-    cols = [[e for i, e in enumerate(col) if i != t] for col in cols]
+    cols = [col[:t] + col[t + 1:] for col in _eval_columns(field, alpha, k + 1)]
     return _cols_to_code(field, cols, k)
 
 
@@ -215,7 +198,7 @@ def d_code_generator(field: Field, alpha, t: int, k: int) -> LinearCode:
         raise ValueError("need 1 <= t < k-1")
     if k > len(alpha) + 1:
         raise ValueError("k > n")
-    cols = _vandermonde_cols(field, alpha, k)
+    cols = _eval_columns(field, alpha, k)
     unit = [0] * k
     unit[t] = 1
     cols.append(unit)
@@ -228,14 +211,14 @@ def tgrs_generator(p: TgrsParams) -> LinearCode:
     evaluation of the hooked row."""
     F = p.field
     k = p.k
-    cols = _vandermonde_cols(F, p.alpha, k)
     hook_row = 0 if p.hook == TWIST_ZERO else k - 1
-    for a, col in zip(p.alpha, cols):
-        col[hook_row] = F.add(col[hook_row], F.mul(p.lam, F.pow(a, k)))
+    # row k of the (k+1)-row evaluation is v_j * a_j^k
+    cols = _eval_columns(F, p.alpha, k + 1, p.v)
+    for col in cols:
+        col[hook_row] = F.add(col[hook_row], F.mul(p.lam, col.pop()))
     last = [0] * k
-    last[hook_row] = 1
+    last[hook_row] = p.v[-1]
     cols.append(last)
-    cols = [[F.mul(vj, e) for e in col] for vj, col in zip(p.v, cols)]
     return _cols_to_code(F, cols, k)
 
 
@@ -254,13 +237,7 @@ def tgrs_dual_parity(p: TgrsParams) -> Matrix:
     rows = n - k + 1
     if rows < 2:
         raise ValueError("parity-check form needs k <= n-1")
-    u = []
-    for i, ai in enumerate(alpha):
-        prod = 1
-        for j, aj in enumerate(alpha):
-            if j != i:
-                prod = F.mul(prod, F.sub(ai, aj))
-        u.append(F.inv(prod))
+    u = grs_dual_multipliers(GrsSpec(F, alpha, (1,) * n, k))
 
     s_top = 0
     for ui, ai in zip(u, alpha):
@@ -296,12 +273,9 @@ def tgrs_dual_parity(p: TgrsParams) -> Matrix:
         last[rows - 2] = 1
         last[rows - 1] = delta
 
-    cols = _vandermonde_cols(F, alpha, rows)
-    cols.append(last)
-    mult = w + [w_last]
-    cols = [[F.mul(m, e) for e in col] for m, col in zip(mult, cols)]
-    out = [[cols[j][i] for j in range(n + 1)] for i in range(rows)]
-    return Matrix(F, out, cols=n + 1, check=False)
+    cols = _eval_columns(F, alpha, rows, w)
+    cols.append([F.mul(w_last, e) for e in last])
+    return _cols_to_code(F, cols, rows, check=False).gen
 
 
 def _kernel_fallback(p: TgrsParams) -> Matrix:
@@ -315,13 +289,11 @@ def roth_lempel_generator(p: RothLempelParams) -> LinearCode:
     e_{k-2} + delta * e_{k-1}."""
     F = p.field
     k = p.k
-    cols = _vandermonde_cols(F, p.a, k)
-    pen = [0] * k
-    pen[k - 1] = 1
+    cols = _eval_columns(F, p.a + (INF,), k)
     last = [0] * k
     last[k - 2] = 1
     last[k - 1] = p.delta
-    cols.extend([pen, last])
+    cols.append(last)
     return _cols_to_code(F, cols, k)
 
 
@@ -335,18 +307,11 @@ def col_twisted_generator(field: Field, a, b: int, c: int, lam: int, k: int,
     if k > len(a) + 1:
         raise ValueError("k > n")
     F = field
-    cols = _vandermonde_cols(F, a, k)
-    twist = []
-    xb, xc = 1, 1
-    for _ in range(k):
-        twist.append(F.sub(xb, F.mul(lam, xc)))
-        xb = F.mul(xb, b)
-        xc = F.mul(xc, c)
-    cols.append(twist)
+    cols = _eval_columns(F, a, k)
+    eb, ec = _eval_columns(F, (b, c), k, (1, lam))
+    cols.append([F.sub(x, y) for x, y in zip(eb, ec)])
     if extended:
-        ext = [0] * k
-        ext[k - 1] = 1
-        cols.append(ext)
+        cols += _eval_columns(F, (INF,), k)
     return _cols_to_code(F, cols, k)
 
 

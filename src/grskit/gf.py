@@ -358,3 +358,13 @@ def _parse_decimal(token: str) -> int:
     if not (token.isascii() and token.isdigit()) or (token[0] == "0" and token != "0"):
         raise ValueError(f"bad decimal token {token!r}")
     return int(token)
+
+
+def _parse_modulus(text: str, p: int) -> tuple:
+    """Modulus coefficients c0,c1,...,cs as comma-separated canonical
+    decimals, each below p (Field itself would reduce them mod p)."""
+    coeffs = tuple(_parse_decimal(c) for c in text.split(","))
+    for c in coeffs:
+        if c >= p:
+            raise ValueError(f"modulus coefficient {c} is not below p={p}")
+    return coeffs

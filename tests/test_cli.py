@@ -20,6 +20,8 @@ def test_field_command(capsys):
     rc, out, _ = run(capsys, "field", "--q", "8")
     assert rc == 0
     assert out.strip() == "p=2 s=3 q=8 mod=1,1,0,1 primitive=2"
+    rc, out2, _ = run(capsys, "field", "--p", "2", "--s", "3", "--mod", "1,1,0,1")
+    assert rc == 0 and out2 == out
 
 
 def test_construct_and_check_roundtrip(tmp_path, capsys):
@@ -150,6 +152,15 @@ def test_usage_errors(capsys, tmp_path):
     assert rc == 2  # argparse: missing --in
     rc, _, _ = run(capsys, "bench", "--q", "11", "--k", "3")
     assert rc == 2
+    # --q does not silently drop --p, --s or --mod
+    for extra in (["--mod", "1,0,1,1"], ["--p", "3", "--s", "2"], ["--s", "3"]):
+        for cmd in ("field", "table1"):
+            rc, out, err = run(capsys, cmd, "--q", "8", *extra)
+            assert rc == 2 and out == "" and err.startswith("error:"), (cmd, extra)
+    # modulus coefficients are canonical decimals below p, never reduced mod p
+    for mod in ("0,12", "22,1", "0,+1", "0, 1", "0,01", ""):
+        rc, out, err = run(capsys, "field", "--p", "11", "--mod", mod)
+        assert rc == 2 and out == "" and err.startswith("error:"), mod
 
 
 def test_malformed_input_exit_code(tmp_path, capsys):
@@ -164,7 +175,8 @@ def test_malformed_input_exit_code(tmp_path, capsys):
 def test_noncanonical_decimal_exit_code(tmp_path, capsys):
     cases = (b"field p=1_1 s=+1 mod=0,1\nmatrix 1 3\n1 2 3\n",
              b"field p=11 s=1 mod=0,1\nmatrix 1 3\n1 1_0 +3\n",
-             b"field p=11 s=1 mod=0,1\nmatrix 1 3\n1 2 \xff\n")
+             b"field p=11 s=1 mod=0,1\nmatrix 1 3\n1 2 \xff\n",
+             b"field p=11 s=1 mod=22,12\nmatrix 1 3\n1 2 3\n")
     for i, text in enumerate(cases):
         bad = tmp_path / f"bad{i}.txt"
         bad.write_bytes(text)

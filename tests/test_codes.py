@@ -372,6 +372,8 @@ def test_spec_file_roundtrip(f11):
     "field p=11 s=1 mod=0,1\nmatrix 1 01\n5",
     "field p=11 s=1 mod=0,1\nmatrix 1 1\n1_0",
     "field p=11 s=1 mod=0,1\nmatrix 1 1\n\u0661",
+    # a modulus coefficient is below p, not reduced mod p (22,12 would read as x)
+    "field p=11 s=1 mod=22,12\nmatrix 1 1\n5",
 ])
 def test_malformed_matrix_files(text):
     with pytest.raises(FormatError):
@@ -387,6 +389,8 @@ def test_malformed_spec_file(f11):
         parse_spec_file("field p=11 s=1 mod=0,1\nalpha: 0 1\nv: 1 1\nk: +1\n")
     with pytest.raises(FormatError):
         parse_spec_file("field p=11 s=1 mod=0,1\nalpha: 0 +1\nv: 1 1\nk: 1\n")
+    with pytest.raises(FormatError):
+        parse_spec_file("field p=11 s=1 mod=0,1\nalpha: 0 1 2\nv: 1 1 1\nk: 3 junk 9\n")
 
 
 def test_undecodable_files(tmp_path):

@@ -128,6 +128,33 @@ def test_ngrs_equals_roth_lempel_on_all_points(f8):
     assert rec.code.gen.data == rl.gen.data
 
 
+def test_each_record_verified_once(monkeypatch):
+    # a dual row verifies its dual code only, not the primal it derives
+    # from, and table1 verifies each record once
+    from grskit import constructions, grsid
+    calls = {"mds": 0, "grs": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(constructions, "is_mds", counted("mds", constructions.is_mds))
+    monkeypatch.setattr(grsid, "is_grs", counted("grs", grsid.is_grs))
+    for build in (lambda: odd_k3(Field(11), 5), lambda: odd_k3(Field(13), 6),
+                  lambda: char2_k4(Field(2, 3), 3), lambda: char2_k4(Field(2, 4), 7)):
+        calls.update(mds=0, grs=0)
+        rec = build()
+        assert rec.family == "modified-grs-dual"
+        assert calls == {"mds": 1, "grs": 1}
+    for q in (8, 11, 16):
+        calls.update(mds=0, grs=0)
+        report = table1(field_from_order(q))
+        assert calls["mds"] == len(report.records)
+        assert calls["grs"] == sum(rec.grs_verdict is not None for rec in report.records)
+
+
 def test_tgrs_punctured_rows(f8):
     rec = tgrs_punctured(f8, 4)
     assert (rec.n, rec.k) == (7, 4)

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from grskit.gf import Field, field_from_order
+from grskit.gf import Field, INF, field_from_order
 from grskit.linalg import matmul, is_zero
 from grskit.codes import (LinearCode, GrsSpec, grs_generator, dual, puncture,
                           shorten, min_distance, is_mds, code_eq)
@@ -373,3 +373,95 @@ def test_predicates_match_subset_oracle():
             assert emgrs_is_mds(EmgrsParams(f, alpha, v, 1, eta, t, k)) == want
             verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def test_builders_match_entry_formulas():
+    # every builder, with random multipliers and parameters, against its
+    # entries written out with F.pow; [c] is 1 if c holds, else 0
+    rng = random.Random(19)
+    built = dict.fromkeys(("grs", "mgrs", "emgrs", "c", "d", "tgrs", "rl", "ct"), 0)
+
+    def assert_entries(code, k, n, entry):
+        assert (code.k, code.n) == (k, n)
+        for i in range(k):
+            for j in range(n):
+                assert code.gen.data[i][j] == entry(i, j), (i, j)
+
+    for _ in range(40):
+        q = rng.choice((7, 8, 9, 11, 13, 16, 25))
+        f = field_from_order(q)
+        pw, mul, add, sub = f.pow, f.mul, f.add, f.sub
+        nz = lambda: rng.randrange(1, q)
+        m = rng.randrange(4, min(q - 2, 9) + 1)
+        pts = rng.sample(range(q), m + 2)
+        alpha, b, c = tuple(pts[:m]), pts[m], pts[m + 1]
+        v = tuple(nz() for _ in range(m + 1))
+        k = rng.randrange(3, m + 1)
+        t = rng.randrange(1, k)
+        eta, v_ext, lam, delta = rng.randrange(q), nz(), nz(), rng.randrange(q)
+
+        def ev(a, i, mult=1):
+            # v * a^i, and v * [i = k-1] at infinity
+            return mul(mult, int(i == k - 1) if a is INF else pw(a, i))
+
+        ga = alpha[:-1] + (INF,)
+        assert_entries(grs_generator(GrsSpec(f, ga, v[:m], k)), k, m,
+                       lambda i, j: ev(ga[j], i, v[j]))
+        built["grs"] += 1
+
+        def mgrs_entry(i, j):
+            if j < m:
+                return ev(alpha[j], i, v[j])
+            return mul(v[m], add(int(i == 0), mul(eta, int(i == t))))
+
+        try:
+            assert_entries(mgrs_generator(MgrsParams(f, alpha, v, eta, t, k)),
+                           k, m + 1, mgrs_entry)
+            built["mgrs"] += 1
+            assert_entries(emgrs_generator(EmgrsParams(f, alpha, v, v_ext, eta, t, k)),
+                           k, m + 2,
+                           lambda i, j: ev(INF, i, v_ext) if j == m + 1 else mgrs_entry(i, j))
+            built["emgrs"] += 1
+        except ValueError:  # a rank-deficient draw
+            pass
+        if t < k - 1:
+            exps = [e for e in range(k + 1) if e != t]
+            assert_entries(c_code_generator(f, alpha, t, k), k, m,
+                           lambda i, j: pw(alpha[j], exps[i]))
+            assert_entries(d_code_generator(f, alpha, t, k), k, m + 1,
+                           lambda i, j: pw(alpha[j], i) if j < m else int(i == t))
+            built["c"] += 1
+            built["d"] += 1
+        for hook, h in ((TWIST_ZERO, 0), (TWIST_TOP, k - 1)):
+            def tgrs_entry(i, j):
+                if j == m:
+                    return mul(v[m], int(i == h))
+                twist = mul(lam, pw(alpha[j], k)) if i == h else 0
+                return mul(v[j], add(pw(alpha[j], i), twist))
+            try:
+                g = tgrs_generator(TgrsParams(f, alpha, v, lam, hook, k))
+            except ValueError:
+                continue
+            assert_entries(g, k, m + 1, tgrs_entry)
+            built["tgrs"] += 1
+        if m + 2 >= k + 3:
+            def rl_entry(i, j):
+                if j < m:
+                    return pw(alpha[j], i)
+                if j == m:
+                    return int(i == k - 1)
+                return add(int(i == k - 2), mul(delta, int(i == k - 1)))
+            assert_entries(roth_lempel_generator(RothLempelParams(f, alpha, delta, k)),
+                           k, m + 2, rl_entry)
+            built["rl"] += 1
+        for ext in (False, True):
+            def ct_entry(i, j):
+                if j < m:
+                    return pw(alpha[j], i)
+                if j == m:
+                    return sub(pw(b, i), mul(lam, pw(c, i)))
+                return int(i == k - 1)
+            assert_entries(col_twisted_generator(f, alpha, b, c, lam, k, extended=ext),
+                           k, m + 1 + ext, ct_entry)
+            built["ct"] += 1
+    assert min(built.values()) >= 20, built
