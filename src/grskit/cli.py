@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .gf import Field, field_from_order, INF, _parse_modulus
+from .gf import Field, field_from_order, INF, _parse_decimal, _parse_modulus
 from .codes import (LinearCode, GrsSpec, FormatError, grs_generator, dual,
                     puncture, shorten, min_distance, is_mds,
                     read_matrix_file, format_matrix_file, write_matrix_file,
@@ -35,14 +35,14 @@ def _field_from_args(args) -> Field:
             raise UsageError("--q excludes --p, --s and --mod")
         return field_from_order(args.q)
     if getattr(args, "p", None):
-        mod = None if args.mod is None else _parse_modulus(args.mod, args.p)
+        mod = None if args.mod is None else _parse_modulus(args.mod)
         return Field(args.p, args.s or 1, mod)
     raise UsageError("specify --q or --p/--s")
 
 
 def _positions(text: str):
     try:
-        return [int(t) for t in text.split(",") if t]
+        return [_parse_decimal(t) for t in text.split(",")]
     except ValueError:
         raise UsageError(f"bad position list {text!r}") from None
 

@@ -244,56 +244,41 @@ def _columns_independent(F: Field, cols, k: int) -> bool:
     """True iff every k of the k-vectors in cols are linearly independent.
 
     Walks increasing column subsets depth first, so subsets that share a
-    prefix share its elimination.  A node holds the span of its columns
-    as a reduced echelon basis: (pivot, row) pairs, each row 1 at its own
-    pivot and 0 at the others.  A new column is reduced against it and,
-    if nonzero, joins it as one more pivot; a zero reduction is a
+    prefix share their elimination.  A node at depth d holds the columns
+    after its last choice, each reduced modulo the span of the d chosen
+    columns, in the k - d coordinates that have no pivot yet: the Schur
+    complement.  Choosing the next column picks its first nonzero
+    coordinate p as a pivot, scales it by one inverse and eliminates p
+    from each later column.  A later column that reduces to zero closes a
     dependent set of at most k columns, which lies in some k-subset, so
-    the walk stops.  At depth k - 1 the span is a hyperplane with one
-    free coordinate f, and h = e_f - sum_i row_i[f] e_{pivot_i} is normal
-    to it, so each leaf is the one dot product h . g.
+    the walk stops there.  At depth k - 1 that zero check is the leaf.
     """
-    n = len(cols)
     if k == 0:
         return True
+    if not all(any(g) for g in cols):
+        return False
     mul, sub = F.mul, F.sub
 
-    def walk(basis, start):
-        d = len(basis)
-        if d == k - 1:
-            pivots = {p for p, _ in basis}
-            f = next(c for c in range(k) if c not in pivots)
-            h = [(p, row[f]) for p, row in basis if row[f]]
-            for j in range(start, n):
-                g = cols[j]
-                acc = g[f]
-                for p, c in h:
-                    if g[p]:
-                        acc = sub(acc, mul(c, g[p]))
-                if not acc:
-                    return False
-            return True
-        for j in range(start, n - k + d + 1):
-            r = list(cols[j])
-            for p, row in basis:
-                c = r[p]
+    def walk(rest, left):
+        for i in range(len(rest) - left + 1):
+            r = rest[i]
+            p = next(c for c, x in enumerate(r) if x)
+            inv = F.inv(r[p])
+            r = [mul(inv, x) if x else 0 for x in r[:p] + r[p + 1:]]
+            later = []
+            for g in rest[i + 1:]:
+                c = g[p]
+                g = g[:p] + g[p + 1:]
                 if c:
-                    r = [sub(x, mul(c, y)) if y else x for x, y in zip(r, row)]
-            p = next((i for i, x in enumerate(r) if x), None)
-            if p is None:
-                return False
-            if r[p] != 1:
-                inv = F.inv(r[p])
-                r = [mul(inv, x) if x else 0 for x in r]
-            child = [(q, [sub(x, mul(row[p], y)) if y else x
-                          for x, y in zip(row, r)]) if row[p] else (q, row)
-                     for q, row in basis]
-            child.append((p, r))
-            if not walk(child, j + 1):
+                    g = [sub(x, mul(c, y)) if y else x for x, y in zip(g, r)]
+                    if not any(g):
+                        return False
+                later.append(g)
+            if left > 2 and not walk(later, left - 1):
                 return False
         return True
 
-    return walk([], 0)
+    return k == 1 or walk(cols, k)
 
 
 def code_eq(c1: LinearCode, c2: LinearCode) -> bool:
@@ -324,7 +309,7 @@ def _parse_field_header(line: str) -> Field:
         kv = dict(p.split("=", 1) for p in parts[1:])
         p = _parse_decimal(kv["p"])
         s = _parse_decimal(kv["s"])
-        mod = _parse_modulus(kv["mod"], p)
+        mod = _parse_modulus(kv["mod"])
     except (ValueError, KeyError) as e:
         raise FormatError(f"bad field header: {line!r}") from e
     try:

@@ -133,7 +133,9 @@ class Field:
     Construction is fully deterministic: when no modulus is supplied, the
     monic irreducible of degree s with the smallest integer encoding is
     chosen, and the primitive element is the smallest nonzero encoding of
-    multiplicative order q-1.
+    multiplicative order q-1.  A given modulus c0, ..., cs must be monic
+    and irreducible, each coefficient an int in 0..p-1: none is reduced
+    mod p.
     """
 
     __slots__ = ("p", "s", "q", "modulus", "primitive", "_mod_int")
@@ -149,7 +151,9 @@ class Field:
         if modulus is None:
             modulus = self._find_modulus()
         else:
-            modulus = tuple(int(c) % p for c in modulus)
+            modulus = tuple(modulus)
+            if not all(isinstance(c, int) and 0 <= c < p for c in modulus):
+                raise ValueError(f"modulus coefficients must be integers in 0..{p - 1}")
             if len(modulus) != s + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree s")
             if not _is_irreducible(modulus, p):
@@ -360,11 +364,7 @@ def _parse_decimal(token: str) -> int:
     return int(token)
 
 
-def _parse_modulus(text: str, p: int) -> tuple:
+def _parse_modulus(text: str) -> tuple:
     """Modulus coefficients c0,c1,...,cs as comma-separated canonical
-    decimals, each below p (Field itself would reduce them mod p)."""
-    coeffs = tuple(_parse_decimal(c) for c in text.split(","))
-    for c in coeffs:
-        if c >= p:
-            raise ValueError(f"modulus coefficient {c} is not below p={p}")
-    return coeffs
+    decimals; Field checks that each is below p."""
+    return tuple(_parse_decimal(c) for c in text.split(","))

@@ -161,6 +161,16 @@ def test_usage_errors(capsys, tmp_path):
     for mod in ("0,12", "22,1", "0,+1", "0, 1", "0,01", ""):
         rc, out, err = run(capsys, "field", "--p", "11", "--mod", mod)
         assert rc == 2 and out == "" and err.startswith("error:"), mod
+    # position and length lists are comma-separated canonical decimals
+    code = tmp_path / "grs.txt"
+    rc, _, _ = run(capsys, "construct", "--q", "11", "--family", "grs",
+                   "--n", "11", "--k", "3", "--out", str(code))
+    assert rc == 0
+    for argv in (["transform", "--op", "puncture", "--pos", "+1,1_0", "--in", str(code)],
+                 ["transform", "--op", "puncture", "--pos", "1,,2", "--in", str(code)],
+                 ["bench", "--q", "11", "--k", "3", "--n", " 12,+16"]):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "" and err.startswith("error:"), argv
 
 
 def test_malformed_input_exit_code(tmp_path, capsys):

@@ -88,6 +88,10 @@ def test_invalid_constructions():
         Field(2, 3, (1, 0, 0, 1))  # x^3 + 1 = (x+1)(x^2+x+1)
     with pytest.raises(ValueError):
         Field(2, 3, (1, 1, 0, 1, 0))  # wrong degree
+    # modulus coefficients lie in 0..p-1; none is reduced mod p
+    for p, s, mod in ((11, 1, (22, 12)), (3, 2, (5, 4, 1)), (5, 1, (-1, 1))):
+        with pytest.raises(ValueError):
+            Field(p, s, mod)
     with pytest.raises(ZeroDivisionError):
         Field(5).inv(0)
 
