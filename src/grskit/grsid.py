@@ -9,12 +9,18 @@ deterministic non-GRS verdict; combined with a final regenerate-and-
 compare step this decides GRS-ness exactly.
 
 Supported shapes are 3 <= k <= n-2 (the equations need the three leading
-identity columns and two parity columns).  One chart change,
-x -> 1/(x - c), moves the recovered points off infinity: up to length q
-c is a field element that is no point, so all points become finite; at
-length q+1 c is the last point, which keeps the point at infinity, now in
-the last coordinate.  Longer inputs fail the distinctness guard, which is
-the correct verdict.
+identity columns and two parity columns).  Recovery works in the chart
+alpha_1 = 0, alpha_2 = 1, alpha_3 = inf.  The multipliers come from one
+formula for every k: the entries of a GRS block are
+b_ij = v_j l_i(alpha_j) / v_i with l_i the Lagrange basis on the
+information points, so column k+1 gives v_2..v_k for v_1 = 1, and since
+the finite l_i sum to 1 every later column gives v_j = sum of v_i b_ij
+over i != 3, without a division.  One chart change, x -> 1/(x - c), then
+moves the recovered points off infinity: up to length q c is a field
+element that is no point, so all points become finite; at length q+1 c
+is the last point, which keeps the point at infinity, now in the last
+coordinate.  Longer inputs fail the distinctness guard, which is the
+correct verdict.
 
 is_grs eliminates its input once; the pivot columns separate a
 rank-deficient input (an error) from a singular leading block (a
@@ -151,22 +157,6 @@ def _recover_parts(m: Matrix):
             raise _Guard(ZERO_DENOMINATOR, f"alpha[{j}]")
         alpha[j] = F.mul(t, F.inv(d))
 
-    if k == 3:
-        d3 = F.mul(b3k1, F.add(b1k1, F.mul(v2, b2k1)))
-        if d3 == 0:
-            raise _Guard(ZERO_DENOMINATOR, "v3")
-        v3 = F.neg(F.mul(F.mul(b1k1, F.mul(v2, b2k1)), F.inv(d3)))
-        v = [None] * (n + 1)
-        v[1], v[2], v[3] = 1, v2, v3
-        for i in range(4, n + 1):
-            v[i] = F.add(B(1, i), F.mul(v2, B(2, i)))
-        _check_distinct(alpha[1:])
-        _check_multipliers(v[1:])
-        raw = tuple(alpha[1:])
-        if n > F.q:  # every element is a point: send alpha_n to infinity
-            return _recentre(F, raw, k, raw[-1], v[1:]) + (raw,)
-        return trans_to_grs(F, raw, k, v[1:]) + (raw,)
-
     for i in range(4, k + 1):
         bik1, bik2 = B(i, k + 1), B(i, k + 2)
         if bik1 == 0:
@@ -180,49 +170,38 @@ def _recover_parts(m: Matrix):
             raise _Guard(ZERO_DENOMINATOR, f"alpha[{i}]")
         prod = F.mul(alpha[k + 1], alpha[k + 2])
         alpha[i] = F.mul(F.mul(F.sub(r2, r1), prod), F.inv(d))
-
     _check_distinct(alpha[1:])
-    raw = tuple(alpha[1:])
-    if n > F.q:
-        a_new, _ = _recentre(F, raw, k, raw[-1])
-    else:
-        a_new, _ = trans_to_grs(F, raw, k)
 
-    # multipliers via the Lagrange structure at columns 1..k and column k+1,
-    # normalized to v_{k+1} = 1
-    v = [None] * (n + 1)
-    for i in range(1, k + 1):
-        bik1 = B(i, k + 1)
-        if bik1 == 0:
-            raise _Guard(ENTRY_ZERO, f"b[{i}][{k + 1}]")
-        g_at_next = 1
-        g_at_self = 1
-        ai = a_new[i - 1]
-        anext = a_new[k]
-        for j in range(1, k + 1):
+    # v_i = D_1 / D_i for v_1 = 1, from column k+1.  l_3 is the monic
+    # product P over the finite information points and l_i is
+    # P / ((x - alpha_i) P'(alpha_i)) otherwise, so D_3 = b_{3,k+1} and
+    # D_i = b_{i,k+1} (alpha_{k+1} - alpha_i) P'(alpha_i).  Each b_{i,k+1}
+    # is nonzero here: rows 1-3 by the v2 and alpha[k+2] guards, the
+    # others by the loop above.
+    finite = [i for i in range(1, k + 1) if i != 3]
+
+    def D(i):
+        if i == 3:
+            return b3k1
+        acc = F.mul(B(i, k + 1), F.sub(alpha[k + 1], alpha[i]))
+        for j in finite:
             if j != i:
-                aj = a_new[j - 1]
-                g_at_next = F.mul(g_at_next, F.sub(anext, aj))
-                g_at_self = F.mul(g_at_self, F.sub(ai, aj))
-        v[i] = F.mul(g_at_next, F.inv(F.mul(g_at_self, bik1)))
+                acc = F.mul(acc, F.sub(alpha[i], alpha[j]))
+        return acc
 
-    d0 = 1
-    for j in range(2, k + 1):
-        d0 = F.mul(d0, F.sub(a_new[0], a_new[j - 1]))
-    d0 = F.inv(F.mul(v[1], d0))
-    for i in range(k + 1, n + 1):
-        ai = a_new[i - 1]
-        if ai is INF:
-            h = d0  # top coefficient of the degree k-1 row polynomial
-        else:
-            h = d0
-            for j in range(2, k + 1):
-                h = F.mul(h, F.sub(ai, a_new[j - 1]))
-        if B(1, i) == 0:
-            raise _Guard(ZERO_MULTIPLIER, f"v[{i}]")
-        v[i] = F.mul(B(1, i), F.inv(h))
+    d1 = D(1)
+    v = [None, 1] + [F.mul(d1, F.inv(D(i))) for i in range(2, k + 1)]
+    # the finite l_i sum to 1, so every later column is v_j = sum v_i b_ij
+    for j in range(k + 1, n + 1):
+        acc = B(1, j)
+        for i in finite[1:]:
+            acc = F.add(acc, F.mul(v[i], B(i, j)))
+        v.append(acc)
     _check_multipliers(v[1:])
-    return tuple(a_new), tuple(v[1:]), raw
+    raw = tuple(alpha[1:])
+    if n > F.q:  # every element is a point: send alpha_n to infinity
+        return _recentre(F, raw, k, raw[-1], v[1:]) + (raw,)
+    return trans_to_grs(F, raw, k, v[1:]) + (raw,)
 
 
 def _check_distinct(alpha):
@@ -241,9 +220,9 @@ def recover(m: Matrix, strict: bool = False) -> GrsVerdict:
     """Recover (alpha, v) from a systematic generator [I | B].
 
     In guarded mode (the default) any failed denominator, distinctness or
-    nonzero check yields a NotGrs verdict with the first failing reason;
-    strict mode raises RecoveryError instead and otherwise trusts the
-    input to be a GRS generator.
+    nonzero check yields a GrsVerdict with grs=False and the first failing
+    reason; strict mode raises RecoveryError instead and otherwise trusts
+    the input to be a GRS generator.
     """
     k, n = m.rows, m.cols
     if not 3 <= k <= n - 2:

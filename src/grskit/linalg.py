@@ -58,11 +58,6 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
 
 
-def identity(field: Field, n: int) -> Matrix:
-    return Matrix(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)],
-                  check=False)
-
-
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.field != b.field:
         raise ValueError("field mismatch")

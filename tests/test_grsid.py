@@ -63,9 +63,10 @@ def test_recover_raw_chart_starts_at_0_1_inf(f11):
     assert raw[0] == 0 and raw[1] == 1 and raw[2] is INF
 
 
-def test_recover_single_instance_f13():
+@pytest.mark.parametrize("k", [3, 4])
+def test_recover_single_instance(k):
     f13 = Field(13)
-    spec = random_grs_spec(f13, 10, 4, random.Random(23))
+    spec = random_grs_spec(f13, 10, k, random.Random(23))
     code = grs_generator(spec)
     m, ok = grsid.linalg.echelonize(code.gen)
     assert ok
@@ -74,13 +75,12 @@ def test_recover_single_instance_f13():
     assert code_eq(grs_generator(verdict.spec), code)
 
 
-def test_recover_k3_branch(f11):
-    spec = random_grs_spec(f11, 8, 3, random.Random(24))
-    code = grs_generator(spec)
-    m, ok = grsid.linalg.echelonize(code.gen)
-    verdict = recover(m)
-    assert verdict.grs
-    assert code_eq(grs_generator(verdict.spec), code)
+def test_recover_quick_tour_k3_line(f11):
+    # the README quick tour's spec: for k = 3 the exact v is pinned, not
+    # only v up to a common factor
+    spec = GrsSpec(f11, (0, 1, 2, 3, 4, 5), (1,) * 6, 3)
+    assert is_grs(grs_generator(spec).gen).format() == \
+        "verdict=grs k=3 alpha=7 5 0 9 2 10 v=9 1 1 9 3 5"
 
 
 def test_recover_requires_systematic_form(f11):
@@ -123,6 +123,19 @@ def test_strict_mode_raises_on_guard():
     zero_b = Matrix(f11, [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]])
     with pytest.raises(RecoveryError):
         recover(zero_b, strict=True)
+
+
+def test_strict_mode_recovers_grs_inputs():
+    rng = random.Random(34)
+    for q, n, k in ((11, 9, 3), (11, 12, 3), (13, 10, 4), (8, 9, 5), (9, 10, 6)):
+        f = field_from_order(q)
+        spec = random_grs_spec(f, n, k, rng, with_inf=n > q)
+        code = grs_generator(spec)
+        m, ok = grsid.linalg.echelonize(code.gen)
+        assert ok
+        verdict = recover(m, strict=True)
+        assert verdict.grs
+        assert code_eq(grs_generator(verdict.spec), code)
 
 
 # ---------------- is_grs ----------------
@@ -415,15 +428,14 @@ def test_bench_counts_are_deterministic_and_affine():
 
 
 def test_bench_counts_affine_in_k():
-    # within the k > 3 code path; k = 3 takes a structurally cheaper branch
+    # one multiplier formula for every k >= 3, so k = 3 lies on the same line
     f29 = Field(29)
     counts = []
-    for k in (4, 5, 6):
+    for k in (3, 4, 5, 6):
         rows = bench_recover(f29, k, [24], trials=5, seed=2)
         counts.append(rows[0]["median_ops"])
-    d1 = counts[1] - counts[0]
-    d2 = counts[2] - counts[1]
-    assert abs(d2 - d1) <= 0.35 * max(d1, d2)
+    diffs = [b - a for a, b in zip(counts, counts[1:])]
+    assert max(diffs) - min(diffs) <= 0.35 * max(diffs)
 
 
 def test_counting_field_counts(f11):
