@@ -13,8 +13,8 @@ file formats; internally everything is 0-based.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 from math import comb
 
 from .gf import (Field, INF, is_finite, format_element, parse_element, _parse_decimal,
@@ -186,33 +186,94 @@ _MIN_DISTANCE_CAP = 1 << 24
 
 
 def min_distance(code: LinearCode) -> int:
-    """Exact minimum Hamming weight by enumerating all q^k messages; more
-    than _MIN_DISTANCE_CAP messages raises ValueError before any."""
-    F = code.field
-    q, k, n = F.q, code.k, code.n
-    if q ** k > _MIN_DISTANCE_CAP:
-        raise ValueError(f"enumeration budget exceeded: {q}^{k} > {_MIN_DISTANCE_CAP}")
-    rows = code.gen.data
-    best = n + 1
-    for msg in product(range(q), repeat=k):
-        if not any(msg):
-            continue
-        w = 0
-        for j in range(n):
-            acc = 0
-            for i in range(k):
-                m = msg[i]
-                if m:
-                    acc = F.add(acc, F.mul(m, rows[i][j]))
-            if acc:
-                w += 1
-                if w >= best:
-                    break
-        if w < best:
-            best = w
-            if best == 1:
-                break
-    return best
+    """Exact minimum Hamming weight of a nonzero codeword; n + 1 for k = 0.
+
+    Reads the weight distribution of the smaller of the code and its
+    dual (MacWilliams–Sloane ch. 5): the [n, k] code itself when
+    k <= n - k, else the [n, n-k] dual, mapped back by the MacWilliams
+    identity.  A rank-deficient generator (built with check=False) gives
+    0: the code side counts a nonzero message of weight 0, and the dual
+    side has more than n - k rows.  The walk costs about n·q^(k'-1) field
+    operations on the side of dimension k' = min(k, n-k); past
+    _MIN_DISTANCE_CAP it raises ValueError before any walking.
+    """
+    F, n, k = code.field, code.n, code.k
+    q, kw = F.q, min(k, n - k)
+    if n * q ** kw > _MIN_DISTANCE_CAP * q:
+        side = "code" if k <= n - k else "dual"
+        raise ValueError(f"enumeration budget exceeded: n*q^(k-1) = {n}*{q}^{kw - 1} "
+                         f"> {_MIN_DISTANCE_CAP} for the [{n},{kw}] {side}")
+    if k <= n - k:
+        dist = _weight_distribution(F, code.gen.data, n)
+        if dist[0] > 1:
+            return 0
+    else:
+        perp = dual(code)
+        if perp.k != n - k:
+            return 0
+        dist = _macwilliams(_weight_distribution(F, perp.gen.data, n), q)
+    return next((w for w in range(1, n + 1) if dist[w]), n + 1)
+
+
+def _weight_distribution(F: Field, rows, n: int) -> list:
+    """A_0..A_n of the row space of rows, counted over messages: A_w is the
+    number of messages m with wt(m·G) = w, so the A_w sum to q^k and
+    A_0 > 1 iff the rows are dependent.
+
+    Every nonzero message is a nonzero scalar times (m', a), where m' on
+    the first k - 1 rows is zero or has leading coefficient 1, and a
+    scalar keeps the weight.  The prefixes m' are walked depth first, one
+    row update c + m·r_i per node.  At a prefix codeword c the weights of
+    all q words c + a·r_k come from one histogram of the roots
+    a = -c_j/r_kj; a position with r_kj = 0 is zero iff c_j = 0.
+    Scaling column j by -1/r_kj and moving the support of r_k to the
+    front keeps every weight and makes each root the entry c_j itself.
+    """
+    q = F.q
+    dist = [1] + [0] * n
+    if not rows:
+        return dist
+    *head, last = rows
+    front = [j for j in range(n) if last[j]]
+    w = len(front)
+    dist[w] += q - 1
+    scale = [F.neg(F.inv(last[j])) for j in front]
+    head = [[F.mul(r[j], t) if r[j] else 0 for j, t in zip(front, scale)]
+            + [r[j] for j in range(n) if not last[j]] for r in head]
+    add, mul = F.add, F.mul
+
+    def walk(c, i):
+        if i == len(head):
+            roots = Counter(c[:w])
+            base = n - c[w:].count(0)
+            for h in roots.values():
+                dist[base - h] += q - 1
+            dist[base] += (q - 1) * (q - len(roots))
+            return
+        r = head[i]
+        walk(c, i + 1)
+        for m in range(1, q):
+            walk([add(x, mul(m, y)) if y else x for x, y in zip(c, r)], i + 1)
+
+    for i, r in enumerate(head):
+        walk(r, i + 1)
+    return dist
+
+
+def _macwilliams(dist, q: int) -> list:
+    """The weight distribution of the dual of a full-rank code C whose
+    distribution is dist = (B_0..B_n): A_j = |C|^-1 · Σ_i B_i·K_j(i), with
+    the Krawtchouk sum K_j(i) = Σ_s (-1)^s (q-1)^(j-s) C(i, s) C(n-i, j-s),
+    in exact integers."""
+    n, size = len(dist) - 1, sum(dist)
+    out = []
+    for j in range(n + 1):
+        t = sum(b * sum((-1) ** s * (q - 1) ** (j - s) * comb(i, s) * comb(n - i, j - s)
+                        for s in range(min(i, j) + 1))
+                for i, b in enumerate(dist) if b)
+        assert t % size == 0, "MacWilliams sum not divisible by |C|"
+        out.append(t // size)
+    return out
 
 
 _MDS_CAP = 1 << 24

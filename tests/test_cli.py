@@ -219,14 +219,21 @@ def test_mds_budget_exit_code(tmp_path, capsys):
 
 
 def test_min_distance_budget_exit_code(tmp_path, capsys):
-    # 257^3 messages > 2^24: refused before any is enumerated
+    # [4,3]/GF(257) walks its [4,1] dual and answers; [20,10]/GF(257) walks
+    # itself, 20*257^9 > 2^24: refused before any walking
     path = tmp_path / "grs.txt"
     rc, _, _ = run(capsys, "construct", "--q", "257", "--family", "grs",
                    "--n", "4", "--k", "3", "--out", str(path))
     assert rc == 0
     rc, out, err = run(capsys, "check", "--kind", "min-dist", "--in", str(path))
+    assert rc == 0 and out == "min_distance=2 n=4 k=3\n" and err == ""
+    rc, _, _ = run(capsys, "construct", "--q", "257", "--family", "grs",
+                   "--n", "20", "--k", "10", "--out", str(path))
+    assert rc == 0
+    rc, out, err = run(capsys, "check", "--kind", "min-dist", "--in", str(path))
     assert rc == 2 and out == ""
-    assert err.strip() == "error: enumeration budget exceeded: 257^3 > 16777216"
+    assert err.strip() == ("error: enumeration budget exceeded: n*q^(k-1) = "
+                           "20*257^9 > 16777216 for the [20,10] code")
 
 
 def test_singular_leading_block_verdicts(tmp_path, capsys):

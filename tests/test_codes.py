@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -8,6 +9,7 @@ from grskit.linalg import Matrix, matmul, is_zero, rank, det, submatrix
 from grskit.codes import (LinearCode, GrsSpec, FormatError, grs_generator,
                           grs_dual_multipliers, dual, puncture, shorten,
                           min_distance, is_mds, code_eq,
+                          _weight_distribution, _macwilliams,
                           format_matrix_file, parse_matrix_file,
                           format_spec_file, parse_spec_file,
                           read_matrix_file, read_spec_file)
@@ -151,10 +153,14 @@ def test_min_distance_repetition(f11):
 
 
 def test_min_distance_budget():
-    # 257^3 = 16,974,593 messages > 2^24: refused before any is enumerated
+    # [4,3]/GF(257) walks its [4,1] dual: 4 words, where its 257^3 messages
+    # were once refused.  [20,10]/GF(257) walks itself: 20*257^9 > 2^24
     f257 = Field(257)
     c = grs_generator(GrsSpec(f257, (0, 1, 2, 3), (1,) * 4, 3))
-    with pytest.raises(ValueError, match=r"enumeration budget exceeded: 257\^3 > 16777216"):
+    assert min_distance(c) == 2
+    c = grs_generator(GrsSpec(f257, tuple(range(20)), (1,) * 20, 10))
+    with pytest.raises(ValueError, match=r"enumeration budget exceeded: "
+                       r"n\*q\^\(k-1\) = 20\*257\^9 > 16777216 for the \[20,10\] code"):
         min_distance(c)
 
 
@@ -210,6 +216,10 @@ def _draw_generator(f, n, k, kind, rng):
             x = rng.randrange(q - 1)
             rows[i][j] = x + (x >= rows[i][j])
         return Matrix(f, rows)
+    if kind == "sparse":
+        # uniform with 20% zeros, full rank or not
+        return Matrix(f, [[rng.randrange(1, q) if rng.random() < 0.8 else 0
+                           for _ in range(n)] for _ in range(k)], cols=n)
     if kind == "deficient":
         rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k - 1)]
         last = [0] * n
@@ -275,6 +285,95 @@ def test_is_mds_op_ceiling_extended_grs():
         code = LinearCode(cf, Matrix(cf, g.data, check=False), check=False)
         assert is_mds(code)
         assert cf.ops <= ceiling, (k, cf.ops)
+
+
+def min_distance_by_messages(code):
+    """Oracle: the least weight of m·G over all q^k - 1 nonzero messages m.
+
+    No exit at weight 1: on a rank-deficient generator a later message
+    may still reach weight 0."""
+    F = code.field
+    q, k, n = F.q, code.k, code.n
+    rows = code.gen.data
+    best = n + 1
+    for msg in product(range(q), repeat=k):
+        if not any(msg):
+            continue
+        w = 0
+        for j in range(n):
+            acc = 0
+            for i in range(k):
+                m = msg[i]
+                if m:
+                    acc = F.add(acc, F.mul(m, rows[i][j]))
+            if acc:
+                w += 1
+                if w >= best:
+                    break
+        best = min(best, w)
+    return best
+
+
+def test_min_distance_matches_message_enumeration():
+    # every shape with n <= 9 and 0 <= k <= n whose q^k messages the oracle
+    # can afford, four kinds each: GRS with and without infinity (length
+    # q+1 always with it), GRS with one entry changed, uniform with 20%
+    # zeros, and rank-deficient built with check=False
+    rng = random.Random(10)
+    kinds = ("grs", "grs-changed", "sparse", "deficient")
+    branches = Counter()
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        f = field_from_order(q)
+        for n in range(1, 10):
+            for k in range(n + 1):
+                if q ** k > 2048:
+                    break
+                for kind in kinds if k else ("sparse",):
+                    m = _draw_generator(f, n, k, kind, rng)
+                    c = LinearCode(f, m, check=False)
+                    assert min_distance(c) == min_distance_by_messages(c), (q, m.data)
+                    side = "code" if 2 * k <= n else "dual"
+                    branches[side, rank(m) == k] += 1
+    # (side walked, full rank): 630, 264, 180 and 132 of 1206 draws
+    assert branches[("code", True)] >= 600 and branches[("dual", True)] >= 250, branches
+    assert branches[("code", False)] >= 150 and branches[("dual", False)] >= 100, branches
+
+
+def test_weight_distribution_macwilliams():
+    # the code's own distribution equals the MacWilliams transform of its
+    # dual's, on seeded full-rank draws (156 of the 200); each counts all
+    # q^k messages
+    rng = random.Random(11)
+    for _ in range(200):
+        f = field_from_order(rng.choice((2, 3, 4, 5, 7, 8, 9)))
+        q = f.q
+        n = rng.randrange(1, 9)
+        k = rng.randrange(1, n + 1)
+        if q ** max(k, n - k) > 4096:
+            continue
+        m = _draw_generator(f, n, k, rng.choice(("grs", "grs-changed", "random")), rng)
+        if rank(m) < k:
+            continue
+        a = _weight_distribution(f, m.data, n)
+        assert sum(a) == q ** k and a[0] == 1
+        d = dual(LinearCode(f, m))
+        b = _weight_distribution(f, d.gen.data, n)
+        assert sum(b) == q ** (n - k)
+        assert _macwilliams(b, q) == a, (q, m.data)
+        assert _macwilliams(a, q) == b, (q, m.data)
+
+
+def test_min_distance_op_ceiling(f11):
+    # GRS [10,3]/GF(11) walks itself: 216 field operations, against 63,606
+    # for the message loop over its 11^3 messages.  GRS [8,6]/GF(11) walks
+    # its [8,2] dual: 270 operations, most of them in dual's elimination,
+    # against 63,585,972 for 11^6 messages
+    for n, k, d, ceiling in ((10, 3, 8, 432), (8, 6, 3, 540)):
+        cf = CountingField(f11)
+        g = grs_generator(GrsSpec(f11, tuple(range(n)), (1,) * n, k)).gen
+        code = LinearCode(cf, Matrix(cf, g.data, check=False), check=False)
+        assert min_distance(code) == d
+        assert cf.ops <= ceiling, (n, k, cf.ops)
 
 
 def test_code_eq_row_permutation(f11):
