@@ -124,16 +124,14 @@ def grs_generator(spec: GrsSpec) -> LinearCode:
 
 def grs_dual_multipliers(spec: GrsSpec) -> tuple:
     """Multipliers u with GRS(alpha, u) of dimension n-k equal to the dual
-    of GRS(alpha, v): u_i = v_i^-1 * prod_{j != i} (alpha_i - alpha_j)^-1.
-    All evaluation points must be finite."""
-    if spec.extended:
-        raise ValueError("dual multipliers need all-finite evaluation points")
+    of GRS(alpha, v): u_i = v_i^-1 * prod_{j != i} (alpha_i - alpha_j)^-1,
+    the product over the finite alpha_j, and u = -1/v at infinity."""
     F = spec.field
     out = []
     for i, ai in enumerate(spec.alpha):
-        prod = 1
+        prod = 1 if is_finite(ai) else F.neg(1)
         for j, aj in enumerate(spec.alpha):
-            if j != i:
+            if j != i and is_finite(ai) and is_finite(aj):
                 prod = F.mul(prod, F.sub(ai, aj))
         out.append(F.inv(F.mul(spec.v[i], prod)))
     return tuple(out)

@@ -3,10 +3,10 @@
 Each builder returns a ConstructionRecord carrying the construction
 parameters together with live verdicts: MDS-ness by a depth-first walk
 over the column subsets of the code or its dual (codes.is_mds) and
-GRS-ness by the identification algorithm.  All arbitrary choices
-(non-square element, subspace and coset enumeration order) are fixed
-deterministically from the field's primitive element, so records are
-reproducible byte for byte.
+GRS-ness by the identification algorithm, which decides every shape.
+All arbitrary choices (non-square element, subspace and coset
+enumeration order) are fixed deterministically from the field's
+primitive element, so records are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -22,11 +22,8 @@ from . import grsid
 
 @dataclass
 class ConstructionRecord:
-    """One constructed code with its parameters and verification verdicts.
-
-    grs_verdict is None when the shape is outside the identification
-    algorithm's 3 <= k <= n-2 range and GRS-ness is left unadjudicated.
-    """
+    """One constructed code with its parameters and its MDS and GRS
+    verdicts."""
 
     family: str
     q: int
@@ -35,12 +32,12 @@ class ConstructionRecord:
     params: dict
     code: LinearCode
     mds: bool = dc_field(default=False)
-    grs_verdict: bool | None = dc_field(default=None)
+    grs_verdict: bool = dc_field(default=False)
 
     def summary(self) -> str:
-        grs = {True: "grs", False: "non-grs", None: "unchecked"}[self.grs_verdict]
         return (f"q={self.q} k={self.k} n={self.n} family={self.family} "
-                f"mds={'true' if self.mds else 'false'} grs={grs}")
+                f"mds={'true' if self.mds else 'false'} "
+                f"grs={'grs' if self.grs_verdict else 'non-grs'}")
 
     def kv_block(self) -> str:
         lines = [
@@ -49,7 +46,7 @@ class ConstructionRecord:
             f"k={self.k}",
             f"n={self.n}",
             f"is_mds={'true' if self.mds else 'false'}",
-            "is_grs=" + {True: "true", False: "false", None: "unchecked"}[self.grs_verdict],
+            f"is_grs={'true' if self.grs_verdict else 'false'}",
         ]
         for key, val in self.params.items():
             lines.append(f"{key}={val}")
@@ -65,11 +62,7 @@ class Table1Report:
 
 def _verify(rec: ConstructionRecord) -> ConstructionRecord:
     rec.mds = is_mds(rec.code)
-    k, n = rec.code.k, rec.code.n
-    if 3 <= k <= n - 2:
-        rec.grs_verdict = grsid.is_grs(rec.code.gen).grs
-    else:
-        rec.grs_verdict = None
+    rec.grs_verdict = grsid.is_grs(rec.code.gen).grs
     return rec
 
 

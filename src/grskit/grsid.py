@@ -6,29 +6,24 @@ field operations, assuming the code is (extended) GRS.  The guarded
 variant checks every denominator before dividing and every
 distinctness/nonzero condition after, turning any failure into a
 deterministic non-GRS verdict; combined with a final regenerate-and-
-compare step this decides GRS-ness exactly.
+compare step this decides GRS-ness exactly, for every 0 <= k <= n.
 
-Supported shapes are 3 <= k <= n-2 (the equations need the three leading
-identity columns and two parity columns).  Recovery works in the chart
-alpha_1 = 0, alpha_2 = 1, alpha_3 = inf.  The multipliers come from one
-formula for every k: the entries of a GRS block are
-b_ij = v_j l_i(alpha_j) / v_i with l_i the Lagrange basis on the
-information points, so column k+1 gives v_2..v_k for v_1 = 1, and since
-the finite l_i sum to 1 every later column gives v_j = sum of v_i b_ij
-over i != 3, without a division.  One chart change, x -> 1/(x - c), then
-moves the recovered points off infinity: up to length q c is a field
-element that is no point, so all points become finite; at length q+1 c
-is the last point, which keeps the point at infinity, now in the last
-coordinate.  Longer inputs fail the distinctness guard, which is the
-correct verdict.
+Only the recovery equations depend on k.  For k >= 3 and n - k >= 2
+they work in the chart alpha_1 = 0, alpha_2 = 1, alpha_3 = inf, with one
+multiplier formula: a GRS block has b_ij = v_j l_i(alpha_j) / v_i for
+the Lagrange basis l_i on the information points, so column k+1 gives
+v_2..v_k for v_1 = 1, and since the finite l_i sum to 1 every later
+column gives v_j = sum of v_i b_ij over i != 3.  For k = 2 each column
+is v_j times a point of PG(1, q).  Then x -> 1/(x - c) sends c to
+infinity and infinity to 0: up to length q c is no point, so all points
+become finite; at length q+1 c is the last point.  Longer inputs fail
+the distinctness guard.  For k <= 1 and k >= n-1 a code is GRS iff it
+is MDS and n <= q+1, so the points are fixed and only v is read.
 
 is_grs eliminates its input once; the pivot columns separate a
 rank-deficient input (an error) from a singular leading block (a
-non-GRS verdict).  cauchy_test decides the Roth-Seroussi Cauchy form of
-[I | A], which for 3 <= k <= n-2 is is_grs's verdict; on the other shapes
-only the nonzero entries and, for k = 2, distinct column ratios remain.
-brute_force_recover is the exhaustive oracle for small codes of length
-at most q.
+non-GRS verdict).  cauchy_test is is_grs's verdict.  brute_force_recover
+is the exhaustive oracle for small codes of length at most q.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ from statistics import median
 from .gf import Field, INF, is_finite, proj_inv, format_element
 from . import linalg
 from .linalg import Matrix
-from .codes import LinearCode, GrsSpec, grs_generator, code_eq
+from .codes import LinearCode, GrsSpec, grs_generator, grs_dual_multipliers, code_eq
 
 ECHELON_FAIL = "echelon-fail"
 ZERO_DENOMINATOR = "zero-denominator"
@@ -115,11 +110,8 @@ def _recentre(F: Field, alpha, k: int, c, v=None):
 
 
 def _validate_systematic(m: Matrix):
-    k, n = m.rows, m.cols
-    for i in range(k):
-        for j in range(k):
-            if m.data[i][j] != (1 if i == j else 0):
-                raise ValueError("matrix is not in systematic form [I | B]")
+    if any(row[j] != (i == j) for i, row in enumerate(m.data) for j in range(m.rows)):
+        raise ValueError("matrix is not in systematic form [I | B]")
 
 
 def _recover_parts(m: Matrix):
@@ -199,15 +191,50 @@ def _recover_parts(m: Matrix):
         v.append(acc)
     _check_multipliers(v[1:])
     raw = tuple(alpha[1:])
-    if n > F.q:  # every element is a point: send alpha_n to infinity
-        return _recentre(F, raw, k, raw[-1], v[1:]) + (raw,)
-    return trans_to_grs(F, raw, k, v[1:]) + (raw,)
+    return _chart(F, raw, k, v[1:]) + (raw,)
+
+
+def _chart(F: Field, raw, k: int, v):
+    """(alpha, v) in the output chart: all finite up to length q, else inf last."""
+    if len(raw) > F.q:
+        return _recentre(F, raw, k, raw[-1], v)
+    return trans_to_grs(F, raw, k, v)
+
+
+def _recover_line(m: Matrix):
+    """k = 2: column j of [I | B] is v_j (1, alpha_j), or v_j (0, 1) at
+    alpha_j = inf, so each column reads off its point of PG(1, q)."""
+    F = m.field
+    alpha, v = [], []
+    for b1, b2 in zip(*m.data):
+        alpha.append(F.mul(b2, F.inv(b1)) if b1 else INF)
+        v.append(b1 or b2)
+    _check_distinct(alpha)
+    _check_multipliers(v)
+    return _chart(F, tuple(alpha), 2, v)
+
+
+def _recover_fixed(m: Matrix):
+    """k <= 1 or k >= n-1: the code is GRS iff it is MDS and n <= q+1, on
+    the points 0..n-1, or 0..q-1 and inf at length q+1 (a longer input
+    repeats inf).  v is the row for k = 1, all ones for k = 0 or n, and
+    for k = n-1 the dual multipliers of the dual row (-b, 1)."""
+    F = m.field
+    k, n = m.rows, m.cols
+    alpha = tuple(range(min(n, F.q))) + (INF,) * (n - F.q)
+    _check_distinct(alpha)
+    if k in (0, n):
+        return alpha, (1,) * n
+    if k == 1:
+        _check_multipliers(m.data[0])
+        return alpha, m.data[0]
+    u = tuple(F.neg(r[-1]) for r in m.data) + (1,)
+    _check_multipliers(u)
+    return alpha, grs_dual_multipliers(GrsSpec(F, alpha, u, 1))
 
 
 def _check_distinct(alpha):
-    finite = [a for a in alpha if is_finite(a)]
-    n_inf = len(alpha) - len(finite)
-    if len(set(finite)) != len(finite) or n_inf > 1:
+    if len(set(alpha)) != len(alpha):  # INF is one object
         raise _Guard(REPEATED_ALPHA)
 
 
@@ -225,11 +252,14 @@ def recover(m: Matrix, strict: bool = False) -> GrsVerdict:
     the input to be a GRS generator.
     """
     k, n = m.rows, m.cols
-    if not 3 <= k <= n - 2:
-        raise ValueError(f"recovery needs 3 <= k <= n-2, got k={k}, n={n}")
     _validate_systematic(m)
     try:
-        alpha, v, _raw = _recover_parts(m)
+        if k <= 1 or k >= n - 1:
+            alpha, v = _recover_fixed(m)
+        elif k == 2:
+            alpha, v = _recover_line(m)
+        else:
+            alpha, v, _raw = _recover_parts(m)
     except _Guard as g:
         if strict:
             raise RecoveryError(f"{g.reason}" + (f" at {g.stage}" if g.stage else "")) from None
@@ -247,9 +277,7 @@ def is_grs(g: Matrix) -> GrsVerdict:
     reduced echelon forms bit-exactly.  The verdict is the spec on
     success, else the first failing reason.
     """
-    k, n = g.rows, g.cols
-    if not 3 <= k <= n - 2:
-        raise ValueError(f"identification needs 3 <= k <= n-2, got k={k}, n={n}")
+    k = g.rows
     m, pivots = linalg.rref(g)
     if len(pivots) < k:
         raise ValueError("rank-deficient generator matrix")
@@ -266,32 +294,13 @@ def is_grs(g: Matrix) -> GrsVerdict:
 
 
 def cauchy_test(g: Matrix) -> bool:
-    """True iff the systematic form [I | A] has A of Cauchy type (Roth and
-    Seroussi): all entries of A nonzero, all 2x2 minors of the entrywise
-    inverse C nonzero, all 3x3 minors of C zero.
-
-    By Roth and Seroussi (1985) that holds iff [I | A] generates a GRS
-    code, so for 3 <= k <= n-2 the verdict is is_grs's.  The other shapes
-    have no 3x3 minor of C, and a 2x2 minor only for k = 2, where the one
-    on columns j, j' vanishes iff a_2j / a_1j = a_2j' / a_1j'.  A singular
-    leading block has no systematic form, so the verdict is False; a
-    rank-deficient g raises ValueError.
+    """True iff [I | A] generates a GRS code, which by Roth and Seroussi
+    (1985) holds iff A is a generalized Cauchy matrix: for k, n-k >= 2,
+    all entries of A nonzero, all 2x2 minors of the entrywise inverse C
+    nonzero and all 3x3 minors of C zero.  So the verdict is is_grs's:
+    False on a singular leading block, ValueError on a rank-deficient g.
     """
-    k, n = g.rows, g.cols
-    if 3 <= k <= n - 2:
-        return is_grs(g).grs
-    m, pivots = linalg.rref(g)
-    if len(pivots) < k:
-        raise ValueError("rank-deficient generator matrix")
-    if pivots != tuple(range(k)):
-        return False
-    a = [row[k:] for row in m.data]
-    if any(e == 0 for row in a for e in row):
-        return False
-    if k == 2:
-        F = m.field
-        return len({F.mul(y, F.inv(x)) for x, y in zip(*a)}) == n - k
-    return True
+    return is_grs(g).grs
 
 
 def brute_force_recover(code: LinearCode):

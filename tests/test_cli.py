@@ -71,6 +71,22 @@ def test_transform_then_recover(tmp_path, capsys):
     assert code_eq(grs_generator(spec), LinearCode(m.field, m))
 
 
+def test_extended_grs_k2_verdicts(tmp_path, capsys):
+    # k = 2 on the whole projective line of GF(4): every check agrees
+    path, spec_out = tmp_path / "e.txt", tmp_path / "spec.txt"
+    rc, _, _ = run(capsys, "construct", "--q", "4", "--family", "egrs",
+                   "--n", "5", "--k", "2", "--out", str(path))
+    assert rc == 0
+    rc, out, _ = run(capsys, "check", "--kind", "is-grs", "--in", str(path))
+    assert rc == 0 and out.startswith("verdict=grs k=2 ")
+    rc, out, _ = run(capsys, "recover", "--in", str(path), "--out", str(spec_out))
+    assert rc == 0 and out.startswith("verdict=grs k=2 ")
+    m = read_matrix_file(path)
+    assert code_eq(grs_generator(read_spec_file(spec_out)), LinearCode(m.field, m))
+    rc, out, _ = run(capsys, "check", "--kind", "cauchy", "--in", str(path))
+    assert rc == 0 and out.strip() == "verdict=cauchy"
+
+
 def test_transform_dual_and_shorten(tmp_path, capsys):
     src = fixture_path("f11_puncture_shorten_7_4.txt")
     out_path = tmp_path / "d.txt"

@@ -152,7 +152,7 @@ def test_each_record_verified_once(monkeypatch):
         calls.update(mds=0, grs=0)
         report = table1(field_from_order(q))
         assert calls["mds"] == len(report.records)
-        assert calls["grs"] == sum(rec.grs_verdict is not None for rec in report.records)
+        assert calls["grs"] == len(report.records)
 
 
 def test_tgrs_punctured_rows(f8):

@@ -5,8 +5,8 @@ import pytest
 
 from grskit.gf import Field, field_from_order, INF
 from grskit.linalg import Matrix, matmul, rank, det, echelonize, submatrix
-from grskit.codes import (GrsSpec, grs_generator, puncture, shorten, is_mds,
-                          code_eq)
+from grskit.codes import (LinearCode, GrsSpec, grs_generator, puncture, shorten,
+                          is_mds, code_eq)
 from grskit.families import MgrsParams, mgrs_generator
 from grskit import grsid
 from grskit.grsid import (trans_to_grs, recover, is_grs, cauchy_test,
@@ -90,9 +90,15 @@ def test_recover_requires_systematic_form(f11):
 
 
 def test_recover_range_check(f11):
-    m = Matrix(f11, [[1, 0, 1], [0, 1, 1]])
-    with pytest.raises(ValueError):
-        recover(m)
+    # every shape gets a verdict: [3,2] and [3,0] are GRS
+    for m in (Matrix(f11, [[1, 0, 1], [0, 1, 1]]), Matrix(f11, [], cols=3)):
+        verdict = recover(m)
+        assert verdict.grs and code_eq(grs_generator(verdict.spec), LinearCode(f11, m))
+    # a zero entry at k = 1 and k = n-1, a repeated point at k = 2
+    for rows in ([[1, 0, 3]], [[1, 0, 0], [0, 1, 2]], [[1, 0, 1, 2], [0, 1, 1, 2]]):
+        assert not recover(Matrix(f11, rows)).grs
+        with pytest.raises(RecoveryError):
+            recover(Matrix(f11, rows), strict=True)
 
 
 def test_guarded_recover_never_raises():
@@ -202,6 +208,61 @@ def test_is_grs_beyond_projective_line_is_negative(f8):
     assert not verdict.grs
 
 
+def test_no_grs_code_longer_than_q_plus_1():
+    # every shape below is MDS, but has more than q+1 coordinates
+    f2, f3 = Field(2), Field(3)
+    for g in (Matrix(f2, [[1, 1, 1, 1]]),
+              Matrix(f2, [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]),
+              Matrix(f2, [[int(i == j) for j in range(4)] for i in range(4)]),
+              Matrix(f3, [[1, 2, 1, 1, 2]])):
+        assert is_mds(LinearCode(g.field, g))
+        assert not is_grs(g).grs
+        assert cauchy_test(g) is False
+
+
+def _sweep_codes(f, n, k, rng):
+    """GRS codes with and without infinity, one-entry-corrupted GRS codes
+    and sparse full-rank uniform codes of shape [n, k] over f."""
+    q = f.q
+    specs = []
+    if n <= q:
+        specs.append(random_grs_spec(f, n, k, rng))
+    if 1 <= n <= q + 1:
+        specs.append(random_grs_spec(f, n, k, rng, with_inf=True))
+    for spec in specs:
+        code = grs_generator(spec)
+        yield code, True
+        if 0 < k < n:
+            m, _ = echelonize(code.gen)
+            rows = [list(r) for r in m.data]
+            r, c = rng.randrange(k), rng.randrange(k, n)
+            rows[r][c] = rng.choice([e for e in range(q) if e != rows[r][c]])
+            yield LinearCode(f, Matrix(f, rows)), None
+    while True:
+        g = Matrix(f, [[rng.randrange(q) if rng.random() < 0.5 else 0
+                        for _ in range(n)] for _ in range(k)], cols=n)
+        if rank(g) == k:
+            yield LinearCode(f, g), None
+            return
+
+
+def test_is_grs_every_shape_sweep():
+    rng = random.Random(35)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        f = field_from_order(q)
+        for n in range(1, q + 3):
+            for k in range(n + 1):
+                for code, want in _sweep_codes(f, n, k, rng):
+                    verdict = is_grs(code.gen)
+                    if want is not None:
+                        assert verdict.grs, (q, n, k)
+                    if verdict.grs:
+                        assert code_eq(grs_generator(verdict.spec), code)
+                    assert cauchy_test(code.gen) == verdict.grs
+                    if k <= 2 or k >= n - 1:
+                        assert verdict.grs == (is_mds(code) and n <= q + 1), (q, n, k)
+
+
 def test_is_grs_echelon_failure_verdict(f11):
     rows = [[0, 1, 0, 2, 3, 4], [0, 0, 1, 5, 6, 7], [0, 0, 0, 1, 1, 1]]
     m = Matrix(f11, rows)
@@ -217,9 +278,10 @@ def test_cauchy_singular_leading_block_is_false(f11):
 
 
 def test_is_grs_rank_deficient_is_error(f11):
-    rows = [[1, 0, 0, 1, 1, 1], [0, 1, 0, 2, 2, 2], [1, 1, 0, 3, 3, 3]]
-    with pytest.raises(ValueError):
-        is_grs(Matrix(f11, rows))
+    for rows in ([[1, 0, 0, 1, 1, 1], [0, 1, 0, 2, 2, 2], [1, 1, 0, 3, 3, 3]],
+                 [[0, 0, 0]], [[1, 2, 3], [2, 4, 6]]):
+        with pytest.raises(ValueError):
+            is_grs(Matrix(f11, rows))
 
 
 def test_is_grs_stable_under_presentation():
@@ -310,13 +372,14 @@ def test_cauchy_agrees_with_is_grs_on_mds_inputs():
 def cauchy_by_minors(g):
     """Reference Cauchy test by minor enumeration: [I | A] with A free of
     zeros, every 2x2 minor of C = (1/a_ij) nonzero and every 3x3 minor of
-    C zero."""
+    C zero.  For k = 1 or n - k = 1 C has no 2x2 minor, and only n <= q+1
+    is left of a generalized Cauchy matrix's distinct points."""
     m, ok = echelonize(g)
     assert ok
     F = m.field
     k, n = m.rows, m.cols
     a = [row[k:] for row in m.data]
-    if any(e == 0 for row in a for e in row):
+    if any(e == 0 for row in a for e in row) or n > F.q + 1:
         return False
     c = Matrix(F, [[F.inv(e) for e in row] for row in a], cols=n - k)
     for size, want_zero in ((2, False), (3, True)):
