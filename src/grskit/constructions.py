@@ -1,9 +1,14 @@
 """Explicit maximal-length non-GRS MDS constructions and the length table.
 
 Each builder returns a ConstructionRecord carrying the construction
-parameters together with live verdicts: MDS-ness by a depth-first walk
-over the column subsets of the code or its dual (codes.is_mds) and
-GRS-ness by the identification algorithm, which decides every shape.
+parameters together with two verdicts.  MDS-ness is the paper's subset
+certificate on the evaluation points (families.mgrs_is_mds and
+emgrs_is_mds) for the modified-GRS rows; a dual row takes the verdict of
+its primal and a punctured row that of the code it is punctured from,
+since MDS is closed under duality and under puncturing (MacWilliams-Sloane
+ch. 11).  Only the Roth-Lempel [q+2, 3] code is walked by codes.is_mds.
+GRS-ness is decided live on every record by the identification
+algorithm, which decides every shape.
 All arbitrary choices (non-square element, subspace and coset
 enumeration order) are fixed deterministically from the field's
 primitive element, so records are reproducible byte for byte.
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from .gf import Field, format_element
 from .codes import LinearCode, is_mds, dual, puncture
 from .families import (MgrsParams, EmgrsParams, RothLempelParams, mgrs_generator,
-                       emgrs_generator, roth_lempel_generator)
+                       emgrs_generator, mgrs_is_mds, emgrs_is_mds, roth_lempel_generator)
 from . import grsid
 
 
@@ -60,8 +65,8 @@ class Table1Report:
     notes: list
 
 
-def _verify(rec: ConstructionRecord) -> ConstructionRecord:
-    rec.mds = is_mds(rec.code)
+def _verify(rec: ConstructionRecord, mds: bool) -> ConstructionRecord:
+    rec.mds = mds
     rec.grs_verdict = grsid.is_grs(rec.code.gen).grs
     return rec
 
@@ -70,8 +75,8 @@ def _fmt_seq(xs) -> str:
     return ",".join(format_element(x) for x in xs)
 
 
-# the record builders leave verdicts to _verify, so a dual row verifies
-# its dual code only
+# the record builders leave verdicts to _verify, so a dual row decides
+# GRS-ness of its dual code only
 
 def _mgrs_record(family: str, p: MgrsParams) -> ConstructionRecord:
     code = mgrs_generator(p)
@@ -95,12 +100,25 @@ def _emgrs_record(family: str, p: EmgrsParams) -> ConstructionRecord:
     return ConstructionRecord(family, p.field.q, p.k, p.n, params, code)
 
 
-def _dual_record(family: str, primal: ConstructionRecord) -> ConstructionRecord:
+def _dual_record(family: str, primal: ConstructionRecord, mds: bool) -> ConstructionRecord:
+    # mds is the primal's verdict, which the dual shares
     code = dual(primal.code)
     params = dict(primal.params)
     params["derived"] = f"dual-of-{primal.family}-k{primal.k}"
     rec = ConstructionRecord(family, primal.q, code.k, code.n, params, code)
-    return _verify(rec)
+    return _verify(rec, mds)
+
+
+def _primal_or_dual(p: MgrsParams, k: int) -> ConstructionRecord:
+    # the modified-GRS row of p, or at k = n - p.k its dual row; both
+    # carry p's certificate
+    if k not in (p.k, p.n - p.k):
+        raise ValueError(f"k must be {p.k} or {p.n - p.k}")
+    primal = _mgrs_record("modified-grs", p)
+    mds = mgrs_is_mds(p)
+    if k == p.k:
+        return _verify(primal, mds)
+    return _dual_record("modified-grs-dual", primal, mds)
 
 
 def star_modified(field: Field, k: int) -> ConstructionRecord:
@@ -125,7 +143,7 @@ def star_modified(field: Field, k: int) -> ConstructionRecord:
     assert field.pow(eta_prime, (q - 1) // 2) == field.neg(1)
     eta = eta_prime if k % 2 == 0 else field.neg(eta_prime)
     params = MgrsParams(field, tuple(alpha), (1,) * n, eta, k - 1, k)
-    return _verify(_mgrs_record("modified-grs-star", params))
+    return _verify(_mgrs_record("modified-grs-star", params), mgrs_is_mds(params))
 
 
 def odd_k3(field: Field, k: int) -> ConstructionRecord:
@@ -143,12 +161,7 @@ def odd_k3(field: Field, k: int) -> ConstructionRecord:
         alpha.append(x)
     alpha.extend([1, 0])
     params = MgrsParams(field, tuple(alpha), (1,) * n, field.neg(1), 2, 3)
-    primal = _mgrs_record("modified-grs", params)
-    if k == 3:
-        return _verify(primal)
-    if k == (q - 1) // 2:
-        return _dual_record("modified-grs-dual", primal)
-    raise ValueError("k must be 3 or (q-1)/2")
+    return _primal_or_dual(params, k)
 
 
 def _hyperplane(field: Field):
@@ -173,9 +186,10 @@ def plus_modified(field: Field, k: int, extended: bool) -> ConstructionRecord:
     eta = field.inv(field.pow(field.primitive, field.s - 1))
     if extended:
         params = EmgrsParams(field, tuple(alpha), (1,) * n, 1, eta, 1, k)
-        return _verify(_emgrs_record("modified-grs-plus-extended", params))
+        return _verify(_emgrs_record("modified-grs-plus-extended", params),
+                       emgrs_is_mds(params))
     params = MgrsParams(field, tuple(alpha), (1,) * n, eta, 1, k)
-    return _verify(_mgrs_record("modified-grs-plus", params))
+    return _verify(_mgrs_record("modified-grs-plus", params), mgrs_is_mds(params))
 
 
 def char2_k4(field: Field, k: int) -> ConstructionRecord:
@@ -191,12 +205,7 @@ def char2_k4(field: Field, k: int) -> ConstructionRecord:
     alpha.extend([0, 1])
     n = len(alpha) + 1
     params = MgrsParams(field, tuple(alpha), (1,) * n, 1, 1, 4)
-    primal = _mgrs_record("modified-grs", params)
-    if k == 4:
-        return _verify(primal)
-    if k == (q - 2) // 2:
-        return _dual_record("modified-grs-dual", primal)
-    raise ValueError("k must be 4 or (q-2)/2")
+    return _primal_or_dual(params, k)
 
 
 def _roth_lempel_code(F: Field) -> LinearCode:
@@ -211,25 +220,37 @@ def ngrs_q2_3(field: Field) -> ConstructionRecord:
         raise ValueError("needs characteristic 2")
     q = field.q
     params = {"alpha": _fmt_seq(range(q)), "delta": "0"}
-    return _verify(ConstructionRecord("roth-lempel", q, 3, q + 2, params,
-                                      _roth_lempel_code(field)))
+    code = _roth_lempel_code(field)
+    return _verify(ConstructionRecord("roth-lempel", q, 3, q + 2, params, code),
+                   is_mds(code))
 
 
 def tgrs_punctured(field: Field, k: int) -> ConstructionRecord:
     """Characteristic 2, length k+3 for q/2 <= k < q-1: dual of the
     [q+2, 3] code punctured on s-1 evaluation columns and the
-    second-to-last unit column, where s = q-1-k."""
+    second-to-last unit column, where s = q-1-k.  The MDS verdict is the
+    column walk of the [q+2, 3] code."""
     q = field.q
     if field.p != 2:
         raise ValueError("needs characteristic 2")
     if not q // 2 <= k < q - 1:
         raise ValueError(f"need {q // 2} <= k <= {q - 2}")
+    roth_lempel = _roth_lempel_code(field)
+    return _punctured_record(k, roth_lempel, is_mds(roth_lempel))
+
+
+def _punctured_record(k: int, roth_lempel: LinearCode, mds: bool) -> ConstructionRecord:
+    # mds is the verdict of the [q+2, 3] code roth_lempel; puncturing it
+    # down to length k+3 >= 3 and taking the dual both keep MDS.  Only that
+    # direction holds, and it is the one used: the code is MDS on every
+    # char-2 field, its columns being a hyperoval
+    q = roth_lempel.field.q
     s = q - 1 - k
     positions = list(range(1, s)) + [q + 1]
-    code = dual(puncture(_roth_lempel_code(field), positions))
+    code = dual(puncture(roth_lempel, positions))
     params = {"derived": f"dual-of-punctured-[{q + 2},3]", "punctured": _fmt_seq(positions)}
     rec = ConstructionRecord("twisted-grs", q, code.k, code.n, params, code)
-    return _verify(rec)
+    return _verify(rec, mds)
 
 
 _LENGTH_FORMULAS = {
@@ -275,8 +296,9 @@ def table1(field: Field) -> Table1Report:
         if (q - 2) // 2 != 4:
             check_len(char2_k4(field, (q - 2) // 2), "char2-k4")
         for k in range(q // 2, q - 1):
-            check_len(tgrs_punctured(field, k), "tgrs-punctured")
-        check_len(_dual_record("roth-lempel-dual", roth_lempel), "ngrs")
+            check_len(_punctured_record(k, roth_lempel.code, roth_lempel.mds),
+                      "tgrs-punctured")
+        check_len(_dual_record("roth-lempel-dual", roth_lempel, roth_lempel.mds), "ngrs")
     else:
         check_len(odd_k3(field, 3), "odd-k3")
         lo, hi = 4, (q - 3) // 2

@@ -5,8 +5,10 @@ modified GRS, the row-removed subcode families (c/d), twisted GRS with a
 constant-coefficient or top-degree hook, Roth-Lempel, and column-twisted
 codes.  The MDS predicates decide the paper's subset condition on the
 evaluation points exactly, without building generator matrices, by one
-depth-first subset walk; t = 1 (reciprocal sums) and t = m (products) are
-its fast cases.
+DP over the values that subsets of the points reach; for t = 1
+(reciprocal sums) and t = m (products) those are field elements, so the
+DP costs O(n·m·q) field operations.  The DP has a budget on the values
+it holds (_SUBSET_CAP).
 """
 
 from __future__ import annotations
@@ -320,25 +322,46 @@ def col_twisted_generator(field: Field, a, b: int, c: int, lam: int, k: int,
 # A modified-GRS minor that uses the special column degenerates exactly
 # when eta * pi_t(S) = (-1)^(m+1) * prod(S) for the (size-m) subset S of
 # evaluation points it meets, where pi_t(S) is the coefficient of x^t in
-# prod_{a in S}(x - a).  One depth-first walk, _no_subset_reaches, sweeps
-# the subsets of the relevant sizes with early exit.  Its t = 1 (reciprocal
-# sum) and t = m (product) folds are one field element each and run several
-# times faster than the general fold of the coefficients up to x^t.
+# prod_{a in S}(x - a).  One DP over reachable folded values,
+# _no_subset_reaches, decides every size with early exit.  Its t = 1
+# (reciprocal sum) and t = m (product) folds are one field element each,
+# so a layer holds at most q values; the general fold of the coefficients
+# up to x^t is a tuple, and its layers can grow towards C(n, j).
+
+_SUBSET_CAP = 1 << 18
+
 
 def _no_subset_reaches(vals, m, op, unit, hit) -> bool:
     """True iff no m-subset of vals, folded with op from unit, satisfies hit.
 
-    Walks the subsets depth first, so subsets sharing a prefix share its
-    partial result, and stops at the first hit."""
-    def walk(start, depth, acc):
-        if depth == m:
-            return not hit(acc)
-        for i in range(start, len(vals) - (m - depth) + 1):
-            if not walk(i + 1, depth + 1, op(acc, vals[i])):
-                return False
-        return True
-
-    return walk(0, 0, unit)
+    After the i-th value, layer j holds the distinct folds of the j-subsets
+    of the values seen so far; a fold is kept once however many subsets
+    reach it, so with at most q distinct folds the cost is O(n·m·q) instead
+    of C(n, m).  Each new size-m fold is tested at once, so a hit stops the
+    DP, and a layer that the remaining values can no longer complete to
+    size m is dropped.  Holding more than _SUBSET_CAP folds raises
+    ValueError.
+    """
+    n = len(vals)
+    if m == 0:
+        return not hit(unit)
+    layers = [{unit}] + [set() for _ in range(m - 1)]
+    held = 1
+    for i, x in enumerate(vals):
+        if any(hit(op(acc, x)) for acc in layers[m - 1]):
+            return False
+        low = m - (n - 1 - i)  # the values after x complete no layer below low
+        for j in range(min(i + 1, m - 1), max(low, 1) - 1, -1):
+            before = len(layers[j])
+            layers[j].update(op(acc, x) for acc in layers[j - 1])
+            held += len(layers[j]) - before
+            if held > _SUBSET_CAP:
+                raise ValueError(f"subset budget exceeded: more than {_SUBSET_CAP} "
+                                 f"folded values held for m={m}, n={n}")
+        for j in range(low):
+            held -= len(layers[j])
+            layers[j].clear()
+    return True
 
 
 def _reciprocal_condition_holds(F: Field, alpha, m, eta) -> bool:
@@ -367,9 +390,9 @@ def _coefficient_condition_holds(F: Field, alpha, m, t, eta) -> bool:
     add, mul = F.add, F.mul
 
     def times(c, na):
-        return [mul(c[0], na)] + [add(lo, mul(hi, na)) for lo, hi in zip(c, c[1:])]
+        return (mul(c[0], na), *(add(lo, mul(hi, na)) for lo, hi in zip(c, c[1:])))
 
-    return _no_subset_reaches([F.neg(a) for a in alpha], m, times, [1] + [0] * t,
+    return _no_subset_reaches([F.neg(a) for a in alpha], m, times, (1,) + (0,) * t,
                               lambda c: add(mul(eta, c[t]), c[0]) == 0)
 
 

@@ -313,6 +313,28 @@ def min_distance_by_messages(code):
     return best
 
 
+def schur_square_dim(code):
+    """Oracle: dim of C*C, the span of the k(k+1)/2 entrywise products of
+    generator rows.  GRS_k(a, v) * GRS_k(a, v) = GRS_(2k-1)(a, v^2), ∞
+    included, so a GRS code gives min(n, 2k-1) and a larger value proves
+    the code non-GRS."""
+    F, rows = code.field, code.gen.data
+    prods = [[F.mul(x, y) for x, y in zip(r, s)] for i, r in enumerate(rows) for s in rows[i:]]
+    return rank(Matrix(F, prods))
+
+
+def test_schur_square_of_grs_has_dim_2k_minus_1():
+    rng = random.Random(22)
+    for _ in range(60):
+        q = rng.choice((8, 9, 11, 13, 16, 25))
+        f = field_from_order(q)
+        with_inf = rng.random() < 0.5
+        n = rng.randrange(4, q + 1 + with_inf)
+        k = rng.randrange(1, n // 2 + 3)  # both sides of 2k - 1 = n
+        code = grs_generator(random_grs_spec(f, n, k, rng, with_inf=with_inf))
+        assert schur_square_dim(code) == min(n, 2 * k - 1)
+
+
 def test_min_distance_matches_message_enumeration():
     # every shape with n <= 9 and 0 <= k <= n whose q^k messages the oracle
     # can afford, four kinds each: GRS with and without infinity (length

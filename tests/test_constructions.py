@@ -1,13 +1,16 @@
 import pytest
 
 from grskit.gf import Field, field_from_order
-from grskit.codes import min_distance
+from grskit.codes import min_distance, is_mds, dual
 from grskit.families import MgrsParams, mgrs_generator
 from grskit.constructions import (star_modified, odd_k3, plus_modified,
                                   char2_k4, ngrs_q2_3, tgrs_punctured, table1,
                                   expected_length)
 from grskit.families import RothLempelParams, roth_lempel_generator
 from grskit.grsid import cauchy_test
+
+from .test_acceptance import _expected_table_rows
+from .test_codes import schur_square_dim
 
 
 def assert_nongrs_record(rec):
@@ -129,8 +132,10 @@ def test_ngrs_equals_roth_lempel_on_all_points(f8):
 
 
 def test_each_record_verified_once(monkeypatch):
-    # a dual row verifies its dual code only, not the primal it derives
-    # from, and table1 verifies each record once
+    # MDS verdicts come from certificates: a dual row walks no columns and
+    # decides GRS-ness of its own code only, a lone tgrs_punctured record
+    # walks the Roth-Lempel [q+2, 3] code, and table1 walks that code once
+    # per char-2 field and nothing on odd q; is_grs runs once per record
     from grskit import constructions, grsid
     calls = {"mds": 0, "grs": 0}
 
@@ -147,12 +152,52 @@ def test_each_record_verified_once(monkeypatch):
         calls.update(mds=0, grs=0)
         rec = build()
         assert rec.family == "modified-grs-dual"
-        assert calls == {"mds": 1, "grs": 1}
-    for q in (8, 11, 16):
+        assert calls == {"mds": 0, "grs": 1}
+    calls.update(mds=0, grs=0)
+    tgrs_punctured(Field(2, 4), 9)
+    assert calls == {"mds": 1, "grs": 1}
+    for q in (8, 9, 11, 16, 25, 32):
         calls.update(mds=0, grs=0)
         report = table1(field_from_order(q))
-        assert calls["mds"] == len(report.records)
+        assert calls["mds"] == (q % 2 == 0)
         assert calls["grs"] == len(report.records)
+
+
+def test_records_carry_their_certificate(monkeypatch):
+    # with every certificate forced to False, every record, dual and
+    # punctured rows included, must read mds=False
+    from grskit import constructions
+    for name in ("is_mds", "mgrs_is_mds", "emgrs_is_mds"):
+        monkeypatch.setattr(constructions, name, lambda *args: False)
+    for q in (8, 11, 16):
+        records = table1(field_from_order(q)).records
+        assert records and not any(rec.mds for rec in records)
+    assert not tgrs_punctured(Field(2, 3), 5).mds
+    assert not plus_modified(Field(2, 4), 5, extended=False).mds
+
+
+@pytest.mark.parametrize("q", [8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32])
+def test_table1_certificates_match_column_walk(q):
+    # each record's verdict is a certificate (the paper's subset condition,
+    # or the verdict of the code it derives from); the column walk of
+    # codes.is_mds is the oracle
+    for rec in table1(field_from_order(q)).records:
+        assert rec.mds == is_mds(rec.code), rec.summary()
+
+
+@pytest.mark.parametrize("q", [49, 64])
+def test_table1_large_q_rows_mds_and_schur_non_grs(q):
+    # the paper's rows, every record MDS, and non-GRS twice over: by
+    # is_grs and, independently, by the Schur square of the smaller of the
+    # code and its dual, whose dimension exceeds the GRS value 2k'-1 < n
+    f = field_from_order(q)
+    report = table1(f)
+    assert sorted((rec.k, rec.n) for rec in report.records) == _expected_table_rows(q, f.p)
+    for rec in report.records:
+        assert rec.mds and rec.grs_verdict is False, rec.summary()
+        side = rec.code if 2 * rec.k <= rec.n else dual(rec.code)
+        assert 2 * side.k - 1 < rec.n
+        assert schur_square_dim(side) > 2 * side.k - 1, rec.summary()
 
 
 def test_tgrs_punctured_rows(f8):

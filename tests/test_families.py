@@ -1,6 +1,7 @@
 import functools
 import random
 import warnings
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -16,6 +17,7 @@ from grskit.families import (MgrsParams, EmgrsParams, TgrsParams,
                              tgrs_generator, tgrs_dual_parity,
                              roth_lempel_generator, col_twisted_generator)
 from grskit.grsid import is_grs
+from grskit import families
 
 
 def mds_or_rank_deficient(builder):
@@ -348,28 +350,31 @@ def test_col_twisted_extended_shape(f11):
 
 
 def test_predicates_match_subset_oracle():
-    # beyond the fields where is_mds can serve as the oracle: every t in
-    # 1..k-1 (so t = k-1 > k-2 for the second emgrs size), 0 among the
-    # points on half the draws and eta = 0 on a quarter
+    # the subset DP against the definition, in small fields where many
+    # draws hit and beyond the fields where is_mds can serve as the oracle:
+    # every t in 1..k-1 (t = 1 sums, t = m products, the general fold, and
+    # t = k-1 > k-2 on the second emgrs size), 0 among the points on half
+    # the draws and eta = 0 on a fifth
     rng = random.Random(18)
-    verdicts = set()
-    for _ in range(30):
-        q = rng.choice((16, 25, 27, 32))
+    tally = Counter()
+    for _ in range(150):
+        q = rng.choice((7, 8, 9, 11, 13, 16, 25, 27, 32))
         f = field_from_order(q)
-        k = rng.randrange(2, 10)
-        nb = rng.randrange(k, k + 4)
+        k = rng.randrange(2, min(10, q + 1))
+        nb = rng.randrange(k, min(k + 4, q) + 1)
         alpha = tuple(rng.sample(range(1, q), nb - 1))
         if rng.random() < 0.5:
             alpha = alpha[1:] + (0,)
-        eta = 0 if rng.random() < 0.25 else rng.randrange(1, q)
+        eta = 0 if rng.random() < 0.2 else rng.randrange(1, q)
         v = (1,) * nb
         for t in range(1, k):
             want = condition_by_subsets(f, alpha, k - 1, t, eta)
             assert mgrs_is_mds(MgrsParams(f, alpha, v, eta, t, k)) == want
             want = want and condition_by_subsets(f, alpha, k - 2, t, eta)
             assert emgrs_is_mds(EmgrsParams(f, alpha, v, 1, eta, t, k)) == want
-            verdicts.add(want)
-    assert verdicts == {True, False}
+            fold = "sum" if t == 1 else "product" if t == k - 1 else "general"
+            tally[fold, want] += 1
+    assert len(tally) == 6 and min(tally.values()) >= 20, tally
 
 
 def test_builders_match_entry_formulas():
@@ -462,3 +467,59 @@ def test_builders_match_entry_formulas():
                            k, m + 1 + ext, ct_entry)
             built["ct"] += 1
     assert min(built.values()) >= 20, built
+
+
+def test_subset_dp_matches_subset_enumeration():
+    # _no_subset_reaches folds each subset in index order, so any op, even a
+    # non-commutative one, must give the verdict of folding every m-subset
+    # from scratch; m runs over 0..n+1
+    rng = random.Random(20)
+    op = lambda acc, x: (3 * acc + x) % 101
+    verdicts = set()
+    for _ in range(60):
+        vals = [rng.randrange(101) for _ in range(rng.randrange(0, 9))]
+        for m in range(len(vals) + 2):
+            targets = set(rng.sample(range(101), rng.randrange(1, 6)))
+            want = True
+            for sub in combinations(vals, m):
+                acc = 5
+                for x in sub:
+                    acc = op(acc, x)
+                want = want and acc not in targets
+            got = families._no_subset_reaches(vals, m, op, 5, targets.__contains__)
+            assert got == want, (vals, m, targets)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_subset_dp_budget_raises_on_general_t():
+    # eta = 0 and no zero point: no subset hits, so the verdict is True,
+    # but the degree-3 folds of the subsets of 39 points in GF(101) are
+    # almost all distinct and outgrow the budget long before C(39, 11)
+    f = Field(101)
+    alpha = tuple(range(1, 40))
+    p = MgrsParams(f, alpha, (1,) * 40, 0, 3, 12)
+    with pytest.raises(ValueError, match="subset budget exceeded"):
+        mgrs_is_mds(p)
+
+
+def test_subset_dp_fast_folds_stay_far_below_budget(monkeypatch):
+    # t = 1 sums and t = m products are field elements, so each of the m
+    # layers holds at most q of them: at q = 128 that bound is far below
+    # the budget, and a budget of exactly m*q still decides both.  The sums
+    # are those of the largest plus-extended table row (reciprocals of a
+    # hyperplane); the products run to the end because eta = 0 and no
+    # point is 0
+    f = field_from_order(128)
+    beta = [x for x in f.powers_of_primitive() if x < 64]
+    alpha = tuple(f.inv(b) for b in beta) + (0,)
+    eta = f.inv(f.pow(f.primitive, 6))
+    plus = EmgrsParams(f, alpha, (1,) * (len(alpha) + 1), 1, eta, 1, 62)
+    alpha = tuple(range(1, 66))
+    product = MgrsParams(f, alpha, (1,) * (len(alpha) + 1), 0, 32, 33)
+    for p, check in ((plus, emgrs_is_mds), (product, mgrs_is_mds)):
+        bound = (p.k - 1) * f.q
+        assert bound <= families._SUBSET_CAP // 32
+        monkeypatch.setattr(families, "_SUBSET_CAP", bound)
+        assert check(p)
+        monkeypatch.undo()
