@@ -17,8 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .gf import (Field, INF, is_finite, format_element, parse_element, _parse_decimal,
-                 _parse_modulus)
+from .gf import (Field, INF, is_finite, batch_inv, format_element, parse_element,
+                 _parse_decimal, _parse_modulus)
 from . import linalg
 from .linalg import Matrix
 
@@ -127,14 +127,14 @@ def grs_dual_multipliers(spec: GrsSpec) -> tuple:
     of GRS(alpha, v): u_i = v_i^-1 * prod_{j != i} (alpha_i - alpha_j)^-1,
     the product over the finite alpha_j, and u = -1/v at infinity."""
     F = spec.field
-    out = []
+    dens = []
     for i, ai in enumerate(spec.alpha):
         prod = 1 if is_finite(ai) else F.neg(1)
         for j, aj in enumerate(spec.alpha):
             if j != i and is_finite(ai) and is_finite(aj):
                 prod = F.mul(prod, F.sub(ai, aj))
-        out.append(F.inv(F.mul(spec.v[i], prod)))
-    return tuple(out)
+        dens.append(F.mul(spec.v[i], prod))
+    return tuple(batch_inv(F, dens))
 
 
 def dual(code: LinearCode) -> LinearCode:

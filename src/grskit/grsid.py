@@ -2,11 +2,12 @@
 
 Given a systematic generator [I | B] of an [n, k] code, the recovery
 routine reconstructs evaluation points and column multipliers in O(nk)
-field operations, assuming the code is (extended) GRS.  The guarded
-variant checks every denominator before dividing and every
-distinctness/nonzero condition after, turning any failure into a
-deterministic non-GRS verdict; combined with a final regenerate-and-
-compare step this decides GRS-ness exactly, for every 0 <= k <= n.
+field operations and O(1) inversions (each loop inverts its denominators
+together), assuming the code is (extended) GRS.  The guarded variant
+checks every denominator before dividing and every distinctness/nonzero
+condition after, turning any failure into a deterministic non-GRS
+verdict; checking each entry of B against its closed form under the
+recovered spec then decides GRS-ness exactly, for every 0 <= k <= n.
 
 Only the recovery equations depend on k.  For k >= 3 and n - k >= 2
 they work in the chart alpha_1 = 0, alpha_2 = 1, alpha_3 = inf, with one
@@ -22,7 +23,8 @@ is MDS and n <= q+1, so the points are fixed and only v is read.
 
 is_grs eliminates its input once; the pivot columns separate a
 rank-deficient input (an error) from a singular leading block (a
-non-GRS verdict).  cauchy_test is is_grs's verdict.  brute_force_recover
+non-GRS verdict).  Recovery and the check of B add O(nk) operations to
+that elimination.  cauchy_test is is_grs's verdict.  brute_force_recover
 is the exhaustive oracle for small codes of length at most q.
 """
 
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from statistics import median
 
-from .gf import Field, INF, is_finite, proj_inv, format_element
+from .gf import Field, INF, is_finite, batch_inv, format_element
 from . import linalg
 from .linalg import Matrix
 from .codes import LinearCode, GrsSpec, grs_generator, grs_dual_multipliers, code_eq
@@ -102,7 +104,8 @@ def _recentre(F: Field, alpha, k: int, c, v=None):
     finite nonzero value is scaled by (alpha - c)^(k-1); the others keep
     theirs.  Returns (alpha, v); v is None when not supplied."""
     shifted = [F.sub(a, c) if is_finite(a) else INF for a in alpha]
-    out_a = tuple(proj_inv(F, a) for a in shifted)
+    inv = iter(batch_inv(F, [a for a in shifted if a is not INF and a != 0]))
+    out_a = tuple(0 if a is INF else INF if a == 0 else next(inv) for a in shifted)
     if v is None:
         return out_a, None
     return out_a, tuple(vj if a is INF or a == 0 else F.mul(vj, F.pow(a, k - 1))
@@ -140,28 +143,37 @@ def _recover_parts(m: Matrix):
     if v2 == 0:
         raise _Guard(ZERO_MULTIPLIER, "v2")
 
-    alpha = [None] * (n + 1)  # 1-based
-    alpha[1], alpha[2], alpha[3] = 0, 1, INF
+    # Every guard of a loop runs before its denominators are inverted
+    # together, so the first failing guard is the same as one by one.
+    alpha = [None, 0, 1, INF] + [None] * (k - 3)  # 1-based
+    ts, ds = [], []
     for j in range(k + 1, n + 1):
         t = F.mul(v2, B(2, j))
         d = F.add(B(1, j), t)
         if d == 0:
             raise _Guard(ZERO_DENOMINATOR, f"alpha[{j}]")
-        alpha[j] = F.mul(t, F.inv(d))
+        ts.append(t)
+        ds.append(d)
+    alpha += [F.mul(t, d) for t, d in zip(ts, batch_inv(F, ds))]
 
+    # alpha_i = (r2 - r1) alpha_{k+1} alpha_{k+2} / (r2 alpha_{k+2} - r1 alpha_{k+1})
+    # for r1 = b_{1,k+1} / b_{i,k+1} and r2 = b_{1,k+2} / b_{i,k+2}; both
+    # sides are multiplied by b_{i,k+1} b_{i,k+2} to leave one division
+    prod = F.mul(alpha[k + 1], alpha[k + 2])
+    nums, ds = [], []
     for i in range(4, k + 1):
         bik1, bik2 = B(i, k + 1), B(i, k + 2)
         if bik1 == 0:
             raise _Guard(ENTRY_ZERO, f"b[{i}][{k + 1}]")
         if bik2 == 0:
             raise _Guard(ENTRY_ZERO, f"b[{i}][{k + 2}]")
-        r1 = F.mul(b1k1, F.inv(bik1))
-        r2 = F.mul(b1k2, F.inv(bik2))
+        r1, r2 = F.mul(b1k1, bik2), F.mul(b1k2, bik1)
         d = F.sub(F.mul(r2, alpha[k + 2]), F.mul(r1, alpha[k + 1]))
         if d == 0:
             raise _Guard(ZERO_DENOMINATOR, f"alpha[{i}]")
-        prod = F.mul(alpha[k + 1], alpha[k + 2])
-        alpha[i] = F.mul(F.mul(F.sub(r2, r1), prod), F.inv(d))
+        nums.append(F.mul(F.sub(r2, r1), prod))
+        ds.append(d)
+    alpha[4:k + 1] = [F.mul(x, d) for x, d in zip(nums, batch_inv(F, ds))]
     _check_distinct(alpha[1:])
 
     # v_i = D_1 / D_i for v_1 = 1, from column k+1.  l_3 is the monic
@@ -182,7 +194,7 @@ def _recover_parts(m: Matrix):
         return acc
 
     d1 = D(1)
-    v = [None, 1] + [F.mul(d1, F.inv(D(i))) for i in range(2, k + 1)]
+    v = [None, 1] + [F.mul(d1, x) for x in batch_inv(F, [D(i) for i in range(2, k + 1)])]
     # the finite l_i sum to 1, so every later column is v_j = sum v_i b_ij
     for j in range(k + 1, n + 1):
         acc = B(1, j)
@@ -205,9 +217,11 @@ def _recover_line(m: Matrix):
     """k = 2: column j of [I | B] is v_j (1, alpha_j), or v_j (0, 1) at
     alpha_j = inf, so each column reads off its point of PG(1, q)."""
     F = m.field
+    cols = list(zip(*m.data))
+    inv = iter(batch_inv(F, [b1 for b1, _ in cols if b1]))
     alpha, v = [], []
-    for b1, b2 in zip(*m.data):
-        alpha.append(F.mul(b2, F.inv(b1)) if b1 else INF)
+    for b1, b2 in cols:
+        alpha.append(F.mul(b2, next(inv)) if b1 else INF)
         v.append(b1 or b2)
     _check_distinct(alpha)
     _check_multipliers(v)
@@ -268,27 +282,64 @@ def recover(m: Matrix, strict: bool = False) -> GrsVerdict:
     return GrsVerdict(True, spec=spec)
 
 
+def _spec_gives_block(m: Matrix, spec: GrsSpec) -> bool:
+    """True iff B in m = [I | B] is the B of grs_generator(spec)'s
+    systematic form, for 0 <= k < n and finite information points
+    (for k = 0, B has no rows and is trivially accepted).
+
+    A GRS block has b_ij = v_j L_i(alpha_j) / v_i for the Lagrange basis
+    L_i on alpha_1..alpha_k (Roth and Seroussi 1985), and the leading
+    coefficient of L_i in place of L_i(alpha_j) at alpha_j = inf.  With
+    w_i = v_i prod_{t != i} (alpha_i - alpha_t) and
+    P_j = v_j prod_t (alpha_j - alpha_t) that reads
+    b_ij (alpha_j - alpha_i) w_i = P_j, and b_ij w_i = v_j at infinity:
+    about 2k^2 + 4k(n-k) field operations and no inversion.
+    """
+    F, k = m.field, m.rows
+    mul, sub = F.mul, F.sub
+    info, v = spec.alpha[:k], spec.v
+    w = []
+    for i, ai in enumerate(info):
+        acc = v[i]
+        for t, at in enumerate(info):
+            if t != i:
+                acc = mul(acc, sub(ai, at))
+        w.append(acc)
+    for j, col in enumerate(zip(*(row[k:] for row in m.data)), k):
+        aj = spec.alpha[j]
+        if aj is INF:
+            if any(mul(b, wi) != v[j] for b, wi in zip(col, w)):
+                return False
+            continue
+        d = [sub(aj, ai) for ai in info]
+        pj = v[j]
+        for x in d:
+            pj = mul(pj, x)
+        if any(mul(mul(b, x), wi) != pj for b, x, wi in zip(col, d, w)):
+            return False
+    return True
+
+
 def is_grs(g: Matrix) -> GrsVerdict:
     """Decide whether the code generated by g is an (extended) GRS code.
 
-    Reduces g to echelon form once (its pivots tell a rank-deficient g,
-    which is an error, from a singular leading block, which is a verdict),
-    runs guarded recovery, regenerates the candidate code and compares
-    reduced echelon forms bit-exactly.  The verdict is the spec on
-    success, else the first failing reason.
+    Reduces g to [I | B] in one elimination (its pivots tell a
+    rank-deficient g, which is an error, from a singular leading block,
+    which is a verdict), runs guarded recovery and checks every entry of
+    B against its closed form under the recovered spec, in O(nk) field
+    operations.  The recovered information points are finite, so that
+    closed form is exactly the systematic form of grs_generator(spec).
+    The verdict is the spec on success, else the first failing reason.
     """
-    k = g.rows
+    k, n = g.rows, g.cols
     m, pivots = linalg.rref(g)
     if len(pivots) < k:
         raise ValueError("rank-deficient generator matrix")
     if pivots != tuple(range(k)):
         return GrsVerdict(False, reason=ECHELON_FAIL)
     verdict = recover(m, strict=False)
-    if not verdict.grs:
-        return verdict
-    regen = grs_generator(verdict.spec)
-    m1, ok1 = linalg.echelonize(regen.gen)
-    if not ok1 or m1.data != m.data:
+    # k = n has no B
+    if verdict.grs and k < n and not _spec_gives_block(m, verdict.spec):
         return GrsVerdict(False, reason=CODE_MISMATCH)
     return verdict
 

@@ -4,14 +4,16 @@ from itertools import combinations
 import pytest
 
 from grskit.gf import Field, field_from_order, INF
-from grskit.linalg import Matrix, matmul, rank, det, echelonize, submatrix
+from grskit import linalg
+from grskit.linalg import Matrix, matmul, rank, det, echelonize, rref, submatrix
 from grskit.codes import (LinearCode, GrsSpec, grs_generator, puncture, shorten,
                           is_mds, code_eq)
 from grskit.families import MgrsParams, mgrs_generator
 from grskit import grsid
 from grskit.grsid import (trans_to_grs, recover, is_grs, cauchy_test,
                           brute_force_recover, bench_recover, random_grs_spec,
-                          CountingField, RecoveryError, ECHELON_FAIL)
+                          CountingField, GrsVerdict, RecoveryError, ECHELON_FAIL,
+                          CODE_MISMATCH, ENTRY_ZERO)
 
 
 # ---------------- trans_to_grs ----------------
@@ -146,6 +148,26 @@ def test_strict_mode_recovers_grs_inputs():
 
 # ---------------- is_grs ----------------
 
+def is_grs_by_regeneration(g):
+    """Reference is_grs: the same elimination and guarded recovery, then
+    the candidate code regenerated from the spec and its reduced echelon
+    form compared bit for bit with the input's, where is_grs reads each
+    entry of B from its closed form."""
+    k = g.rows
+    m, pivots = rref(g)
+    if len(pivots) < k:
+        raise ValueError("rank-deficient generator matrix")
+    if pivots != tuple(range(k)):
+        return GrsVerdict(False, reason=ECHELON_FAIL)
+    verdict = recover(m)
+    if not verdict.grs:
+        return verdict
+    m1, ok1 = echelonize(grs_generator(verdict.spec).gen)
+    if not ok1 or m1.data != m.data:
+        return GrsVerdict(False, reason=CODE_MISMATCH)
+    return verdict
+
+
 def test_counterexample_verdicts(counterexample):
     v = is_grs(counterexample.gen)
     assert not v.grs
@@ -254,6 +276,7 @@ def test_is_grs_every_shape_sweep():
             for k in range(n + 1):
                 for code, want in _sweep_codes(f, n, k, rng):
                     verdict = is_grs(code.gen)
+                    assert verdict == is_grs_by_regeneration(code.gen), (q, n, k)
                     if want is not None:
                         assert verdict.grs, (q, n, k)
                     if verdict.grs:
@@ -261,6 +284,86 @@ def test_is_grs_every_shape_sweep():
                     assert cauchy_test(code.gen) == verdict.grs
                     if k <= 2 or k >= n - 1:
                         assert verdict.grs == (is_mds(code) and n <= q + 1), (q, n, k)
+
+
+def test_is_grs_every_one_entry_corruption():
+    # every entry of B of a few GRS codes, with and without infinity and
+    # at length q+1, changed to every other value: the corruptions that
+    # recovery does not read are left to the check of B
+    rng = random.Random(36)
+    mismatches = 0
+    for q in (8, 9, 11, 13):
+        f = field_from_order(q)
+        for n, k, with_inf in ((q - 1, 3, False), (q - 1, 4, True), (q + 1, 4, True)):
+            spec = random_grs_spec(f, n, k, rng, with_inf=with_inf)
+            m, _ = echelonize(grs_generator(spec).gen)
+            assert is_grs(m) == is_grs_by_regeneration(m) and is_grs(m).grs
+            for i in range(k):
+                for j in range(k, n):
+                    for e in range(q):
+                        if e == m.data[i][j]:
+                            continue
+                        rows = [list(r) for r in m.data]
+                        rows[i][j] = e
+                        bad = Matrix(f, rows)
+                        verdict = is_grs(bad)
+                        assert verdict == is_grs_by_regeneration(bad), (q, n, k, i, j, e)
+                        # k, n - k >= 3 and every 2x2 minor of the entrywise
+                        # inverse is nonzero, so a changed entry is zero or
+                        # makes a 3x3 minor nonzero
+                        assert not verdict.grs
+                        mismatches += verdict.reason == CODE_MISMATCH
+    assert mismatches > 0
+
+
+def test_is_grs_eliminates_once(monkeypatch):
+    # a GRS input, an early corruption (a zero at b[4][k+1], which recovery
+    # rejects) and a late one (b[3][k+3] changed, which only the check of
+    # B reads)
+    f, k = Field(13), 5
+    grs, _ = echelonize(grs_generator(random_grs_spec(f, 12, k, random.Random(37))).gen)
+    early, late = [list(r) for r in grs.data], [list(r) for r in grs.data]
+    early[3][k] = 0
+    late[2][k + 2] = f.add(late[2][k + 2], 1)
+    early, late = Matrix(f, early), Matrix(f, late)
+    calls = {"eliminate": 0, "echelonize": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "_eliminate", counted("eliminate", linalg._eliminate))
+    monkeypatch.setattr(linalg, "echelonize", counted("echelonize", linalg.echelonize))
+    for g, reason in ((grs, None), (early, ENTRY_ZERO), (late, CODE_MISMATCH)):
+        calls.update(eliminate=0, echelonize=0)
+        verdict = is_grs(g)
+        assert verdict.reason == reason and verdict.grs == (reason is None)
+        assert calls == {"eliminate": 1, "echelonize": 0}
+
+
+def test_is_grs_ops_ceiling():
+    # The check of B costs exactly 2k(k-1) for the w_i, then 4k per finite
+    # column and k per column at infinity.  is_grs adds at most 10kn
+    # operations to its rref: that 4kn, 2kn in recovery's two Lagrange
+    # loops, and a few per point for the guards, the batched inversions
+    # and the chart's power of each point.
+    rng = random.Random(38)
+    for q, n, k, with_inf in ((41, 40, 12, False), (32, 30, 8, True), (27, 24, 6, True),
+                              (13, 14, 3, True), (243, 16, 5, False), (9, 10, 4, True)):
+        f = field_from_order(q)
+        g = grs_generator(random_grs_spec(f, n, k, rng, with_inf=with_inf)).gen
+        cf = CountingField(f)
+        m, _ = rref(Matrix(cf, g.data, cols=n, check=False))
+        rref_ops, cf.ops = cf.ops, 0
+        verdict = is_grs(Matrix(cf, g.data, cols=n, check=False))
+        assert verdict.grs
+        assert cf.ops <= rref_ops + 10 * k * n, (q, n, k, cf.ops - rref_ops)
+        cf.ops = 0
+        assert grsid._spec_gives_block(m, verdict.spec)
+        at_inf = sum(a is INF for a in verdict.spec.alpha[k:])
+        assert cf.ops == 2 * k * (k - 1) + 4 * k * (n - k - at_inf) + k * at_inf
 
 
 def test_is_grs_echelon_failure_verdict(f11):
