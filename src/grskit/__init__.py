@@ -16,13 +16,13 @@ from .codes import (LinearCode, GrsSpec, FormatError, grs_generator,
 from .families import (MgrsParams, EmgrsParams, TgrsParams, RothLempelParams,
                        TWIST_ZERO, TWIST_TOP,
                        mgrs_generator, emgrs_generator, mgrs_is_mds,
-                       emgrs_is_mds, c_code_generator, d_code_generator,
+                       emgrs_is_mds, roth_lempel_is_mds, c_code_generator, d_code_generator,
                        tgrs_generator, tgrs_dual_parity,
                        roth_lempel_generator, col_twisted_generator)
 from .constructions import (ConstructionRecord, Table1Report, star_modified,
                             odd_k3, plus_modified, char2_k4, ngrs_q2_3,
                             tgrs_punctured, table1)
-from .grsid import (GrsVerdict, RecoveryError, CountingField, trans_to_grs,
+from .grsid import (GrsVerdict, CountingField, trans_to_grs,
                     recover, is_grs, cauchy_test, brute_force_recover,
                     bench_recover, random_grs_spec)
 

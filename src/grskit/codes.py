@@ -285,10 +285,12 @@ def is_mds(code: LinearCode) -> bool:
     walked instead; its generator has n - rank rows, so a rank-deficient
     input (every k × k minor zero) is caught there by the row count.  The
     walk ends in C(n, k) = C(n, n-k) leaves; more than _MDS_CAP raises
-    ValueError before any walking, so an input past the budget gets no
-    verdict even when an early column subset is dependent.
+    ValueError before any walking.  A zero column (k >= 1) lies in a
+    dependent k-subset, so it answers False before that budget, in O(nk).
     """
     n, k = code.n, code.k
+    if k and not all(any(col) for col in zip(*code.gen.data)):
+        return False
     if comb(n, k) > _MDS_CAP:
         raise ValueError(f"MDS budget exceeded: C({n},{k}) > {_MDS_CAP} "
                          f"column subsets for n={n}, k={k}")

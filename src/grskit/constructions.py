@@ -1,14 +1,14 @@
 """Explicit maximal-length non-GRS MDS constructions and the length table.
 
 Each builder returns a ConstructionRecord carrying the construction
-parameters together with two verdicts.  MDS-ness is the paper's subset
-certificate on the evaluation points (families.mgrs_is_mds and
-emgrs_is_mds) for the modified-GRS rows; a dual row takes the verdict of
-its primal and a punctured row that of the code it is punctured from,
-since MDS is closed under duality and under puncturing (MacWilliams-Sloane
-ch. 11).  Only the Roth-Lempel [q+2, 3] code is walked by codes.is_mds.
-GRS-ness is decided live on every record by the identification
-algorithm, which decides every shape.
+parameters together with two verdicts, both fixed when it is built, by
+one rule.  MDS-ness is a subset certificate on the evaluation points
+(families.mgrs_is_mds, emgrs_is_mds and roth_lempel_is_mds); no
+generator's columns are walked.  GRS-ness is one grsid.is_grs on the code
+a row is built from.  A dual row takes both verdicts of its primal, since
+MDS-ness and GRS-ness are closed under duality, and a punctured row takes
+the MDS verdict of the code it is punctured from (MacWilliams-Sloane
+ch. 11) and decides GRS-ness on the punctured code, whose dual it is.
 All arbitrary choices (non-square element, subspace and coset
 enumeration order) are fixed deterministically from the field's
 primitive element, so records are reproducible byte for byte.
@@ -16,16 +16,17 @@ primitive element, so records are reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .gf import Field, format_element
-from .codes import LinearCode, is_mds, dual, puncture
+from .codes import LinearCode, dual, puncture
 from .families import (MgrsParams, EmgrsParams, RothLempelParams, mgrs_generator,
-                       emgrs_generator, mgrs_is_mds, emgrs_is_mds, roth_lempel_generator)
+                       emgrs_generator, mgrs_is_mds, emgrs_is_mds, roth_lempel_generator,
+                       roth_lempel_is_mds)
 from . import grsid
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstructionRecord:
     """One constructed code with its parameters and its MDS and GRS
     verdicts."""
@@ -36,8 +37,8 @@ class ConstructionRecord:
     n: int
     params: dict
     code: LinearCode
-    mds: bool = dc_field(default=False)
-    grs_verdict: bool = dc_field(default=False)
+    mds: bool
+    grs_verdict: bool
 
     def summary(self) -> str:
         return (f"q={self.q} k={self.k} n={self.n} family={self.family} "
@@ -65,60 +66,50 @@ class Table1Report:
     notes: list
 
 
-def _verify(rec: ConstructionRecord, mds: bool) -> ConstructionRecord:
-    rec.mds = mds
-    rec.grs_verdict = grsid.is_grs(rec.code.gen).grs
-    return rec
-
-
 def _fmt_seq(xs) -> str:
     return ",".join(format_element(x) for x in xs)
 
 
-# the record builders leave verdicts to _verify, so a dual row decides
-# GRS-ness of its dual code only
+def _record(family: str, params: dict, code: LinearCode, mds: bool) -> ConstructionRecord:
+    # a row built from code itself: mds is its certificate, and GRS-ness
+    # is decided on code
+    return ConstructionRecord(family, code.field.q, code.k, code.n, params, code, mds,
+                              grsid.is_grs(code.gen).grs)
+
 
 def _mgrs_record(family: str, p: MgrsParams) -> ConstructionRecord:
-    code = mgrs_generator(p)
     params = {
         "alpha": _fmt_seq(p.alpha),
         "v": _fmt_seq(p.v),
         "eta": str(p.eta),
         "t": str(p.t),
     }
-    return ConstructionRecord(family, p.field.q, p.k, p.n, params, code)
+    return _record(family, params, mgrs_generator(p), mgrs_is_mds(p))
 
 
 def _emgrs_record(family: str, p: EmgrsParams) -> ConstructionRecord:
-    code = emgrs_generator(p)
     params = {
         "alpha": _fmt_seq(p.alpha),
         "v": _fmt_seq(p.v + (p.v_ext,)),
         "eta": str(p.eta),
         "t": str(p.t),
     }
-    return ConstructionRecord(family, p.field.q, p.k, p.n, params, code)
+    return _record(family, params, emgrs_generator(p), emgrs_is_mds(p))
 
 
-def _dual_record(family: str, primal: ConstructionRecord, mds: bool) -> ConstructionRecord:
-    # mds is the primal's verdict, which the dual shares
+def _dual_record(family: str, primal: ConstructionRecord) -> ConstructionRecord:
     code = dual(primal.code)
-    params = dict(primal.params)
-    params["derived"] = f"dual-of-{primal.family}-k{primal.k}"
-    rec = ConstructionRecord(family, primal.q, code.k, code.n, params, code)
-    return _verify(rec, mds)
+    params = dict(primal.params, derived=f"dual-of-{primal.family}-k{primal.k}")
+    return ConstructionRecord(family, primal.q, code.k, code.n, params, code,
+                              primal.mds, primal.grs_verdict)
 
 
 def _primal_or_dual(p: MgrsParams, k: int) -> ConstructionRecord:
-    # the modified-GRS row of p, or at k = n - p.k its dual row; both
-    # carry p's certificate
+    # the modified-GRS row of p, or at k = n - p.k its dual row
     if k not in (p.k, p.n - p.k):
         raise ValueError(f"k must be {p.k} or {p.n - p.k}")
     primal = _mgrs_record("modified-grs", p)
-    mds = mgrs_is_mds(p)
-    if k == p.k:
-        return _verify(primal, mds)
-    return _dual_record("modified-grs-dual", primal, mds)
+    return primal if k == p.k else _dual_record("modified-grs-dual", primal)
 
 
 def star_modified(field: Field, k: int) -> ConstructionRecord:
@@ -143,7 +134,7 @@ def star_modified(field: Field, k: int) -> ConstructionRecord:
     assert field.pow(eta_prime, (q - 1) // 2) == field.neg(1)
     eta = eta_prime if k % 2 == 0 else field.neg(eta_prime)
     params = MgrsParams(field, tuple(alpha), (1,) * n, eta, k - 1, k)
-    return _verify(_mgrs_record("modified-grs-star", params), mgrs_is_mds(params))
+    return _mgrs_record("modified-grs-star", params)
 
 
 def odd_k3(field: Field, k: int) -> ConstructionRecord:
@@ -186,10 +177,9 @@ def plus_modified(field: Field, k: int, extended: bool) -> ConstructionRecord:
     eta = field.inv(field.pow(field.primitive, field.s - 1))
     if extended:
         params = EmgrsParams(field, tuple(alpha), (1,) * n, 1, eta, 1, k)
-        return _verify(_emgrs_record("modified-grs-plus-extended", params),
-                       emgrs_is_mds(params))
+        return _emgrs_record("modified-grs-plus-extended", params)
     params = MgrsParams(field, tuple(alpha), (1,) * n, eta, 1, k)
-    return _verify(_mgrs_record("modified-grs-plus", params), mgrs_is_mds(params))
+    return _mgrs_record("modified-grs-plus", params)
 
 
 def char2_k4(field: Field, k: int) -> ConstructionRecord:
@@ -208,49 +198,45 @@ def char2_k4(field: Field, k: int) -> ConstructionRecord:
     return _primal_or_dual(params, k)
 
 
-def _roth_lempel_code(F: Field) -> LinearCode:
-    # the [q+2, 3] code of ngrs_q2_3, built without verdicts
-    return roth_lempel_generator(RothLempelParams(F, tuple(F.elements()), 0, 3))
+def _roth_lempel_params(field: Field) -> RothLempelParams:
+    # the [q+2, 3] code on every field element, delta = 0: MDS in
+    # characteristic 2, where no two distinct points sum to 0
+    if field.p != 2:
+        raise ValueError("needs characteristic 2")
+    return RothLempelParams(field, tuple(field.elements()), 0, 3)
 
 
 def ngrs_q2_3(field: Field) -> ConstructionRecord:
     """Characteristic 2, the [q+2, 3] code: squares row extended by two
     unit columns; every field element is an evaluation point."""
-    if field.p != 2:
-        raise ValueError("needs characteristic 2")
-    q = field.q
-    params = {"alpha": _fmt_seq(range(q)), "delta": "0"}
-    code = _roth_lempel_code(field)
-    return _verify(ConstructionRecord("roth-lempel", q, 3, q + 2, params, code),
-                   is_mds(code))
+    p = _roth_lempel_params(field)
+    params = {"alpha": _fmt_seq(p.a), "delta": "0"}
+    return _record("roth-lempel", params, roth_lempel_generator(p), roth_lempel_is_mds(p))
 
 
 def tgrs_punctured(field: Field, k: int) -> ConstructionRecord:
     """Characteristic 2, length k+3 for q/2 <= k < q-1: dual of the
     [q+2, 3] code punctured on s-1 evaluation columns and the
-    second-to-last unit column, where s = q-1-k.  The MDS verdict is the
-    column walk of the [q+2, 3] code."""
+    second-to-last unit column, where s = q-1-k."""
+    p = _roth_lempel_params(field)
     q = field.q
-    if field.p != 2:
-        raise ValueError("needs characteristic 2")
     if not q // 2 <= k < q - 1:
         raise ValueError(f"need {q // 2} <= k <= {q - 2}")
-    roth_lempel = _roth_lempel_code(field)
-    return _punctured_record(k, roth_lempel, is_mds(roth_lempel))
+    return _punctured_record(k, roth_lempel_generator(p), roth_lempel_is_mds(p))
 
 
 def _punctured_record(k: int, roth_lempel: LinearCode, mds: bool) -> ConstructionRecord:
     # mds is the verdict of the [q+2, 3] code roth_lempel; puncturing it
-    # down to length k+3 >= 3 and taking the dual both keep MDS.  Only that
-    # direction holds, and it is the one used: the code is MDS on every
-    # char-2 field, its columns being a hyperoval
+    # down to length k+3 >= 3 and taking the dual both keep MDS, and the
+    # dual is GRS iff the punctured [k+3, 3] code is
     q = roth_lempel.field.q
     s = q - 1 - k
     positions = list(range(1, s)) + [q + 1]
-    code = dual(puncture(roth_lempel, positions))
+    punctured = puncture(roth_lempel, positions)
+    code = dual(punctured)
     params = {"derived": f"dual-of-punctured-[{q + 2},3]", "punctured": _fmt_seq(positions)}
-    rec = ConstructionRecord("twisted-grs", q, code.k, code.n, params, code)
-    return _verify(rec, mds)
+    return ConstructionRecord("twisted-grs", q, code.k, code.n, params, code, mds,
+                              grsid.is_grs(punctured.gen).grs)
 
 
 _LENGTH_FORMULAS = {
@@ -283,30 +269,32 @@ def table1(field: Field) -> Table1Report:
             raise AssertionError(f"length mismatch for {row}: {rec.n} != {want}")
         records.append(rec)
 
+    # the k = (q-2)/2 and k = (q-1)/2 rows are the duals of the k = 4 and
+    # k = 3 rows; for q >= 8 neither dual has its primal's k
     if field.p == 2:
         roth_lempel = ngrs_q2_3(field)
         check_len(roth_lempel, "ngrs")
-        check_len(char2_k4(field, 4), "char2-k4")
+        primal = char2_k4(field, 4)
+        check_len(primal, "char2-k4")
         lo, hi = 5, (q - 4) // 2
         if lo > hi:
             notes.append(f"row 5<=k<=(q-4)/2 empty for q={q}")
         else:
             for k in range(lo, hi + 1):
                 check_len(plus_modified(field, k, extended=True), "plus-extended")
-        if (q - 2) // 2 != 4:
-            check_len(char2_k4(field, (q - 2) // 2), "char2-k4")
+        check_len(_dual_record("modified-grs-dual", primal), "char2-k4")
         for k in range(q // 2, q - 1):
             check_len(_punctured_record(k, roth_lempel.code, roth_lempel.mds),
                       "tgrs-punctured")
-        check_len(_dual_record("roth-lempel-dual", roth_lempel, roth_lempel.mds), "ngrs")
+        check_len(_dual_record("roth-lempel-dual", roth_lempel), "ngrs")
     else:
-        check_len(odd_k3(field, 3), "odd-k3")
+        primal = odd_k3(field, 3)
+        check_len(primal, "odd-k3")
         lo, hi = 4, (q - 3) // 2
         if lo > hi:
             notes.append(f"row 4<=k<=(q-3)/2 empty for q={q}")
         else:
             for k in range(lo, hi + 1):
                 check_len(star_modified(field, k), "star")
-        if (q - 1) // 2 != 3:
-            check_len(odd_k3(field, (q - 1) // 2), "odd-k3")
+        check_len(_dual_record("modified-grs-dual", primal), "odd-k3")
     return Table1Report(q=q, records=records, notes=notes)

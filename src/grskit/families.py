@@ -3,12 +3,14 @@
 Families covered: modified GRS (one generator entry changed), extended
 modified GRS, the row-removed subcode families (c/d), twisted GRS with a
 constant-coefficient or top-degree hook, Roth-Lempel, and column-twisted
-codes.  The MDS predicates decide the paper's subset condition on the
-evaluation points exactly, without building generator matrices, by one
-DP over the values that subsets of the points reach; for t = 1
-(reciprocal sums) and t = m (products) those are field elements, so the
-DP costs O(n·m·q) field operations.  The DP has a budget on the values
-it holds (_SUBSET_CAP).
+codes.  The MDS predicates (mgrs_is_mds, emgrs_is_mds and
+roth_lempel_is_mds) decide a subset condition on the evaluation points
+exactly, without building generator matrices, by one DP over the values
+that subsets of the points reach; for the reciprocal sums (t = 1), the
+products (t = m) and the Roth-Lempel point sums those are field
+elements, so the DP costs O(n·m·q) field operations.  These certificates
+are the only MDS verdicts of the length table.  The DP has a budget on
+the values it holds (_SUBSET_CAP).
 """
 
 from __future__ import annotations
@@ -417,3 +419,12 @@ def emgrs_is_mds(p: EmgrsParams) -> bool:
     (the second size accounts for the appended top-coefficient column)."""
     return (_subset_check(p.field, p.alpha, p.k - 1, p.t, p.eta)
             and _subset_check(p.field, p.alpha, p.k - 2, p.t, p.eta))
+
+
+def roth_lempel_is_mds(p: RothLempelParams) -> bool:
+    """MDS iff no (k-1)-subset of the points sums to delta (Roth and
+    Lempel 1989): a k-subset of columns made of e_(k-2) + delta * e_(k-1)
+    and k-1 point columns S has minor +-V(S) * (delta - sum(S)), and every
+    other k-subset has a nonzero Vandermonde minor."""
+    F = p.field
+    return _no_subset_reaches(list(p.a), p.k - 1, F.add, 0, p.delta.__eq__)

@@ -3,11 +3,11 @@
 Given a systematic generator [I | B] of an [n, k] code, the recovery
 routine reconstructs evaluation points and column multipliers in O(nk)
 field operations and O(1) inversions (each loop inverts its denominators
-together), assuming the code is (extended) GRS.  The guarded variant
-checks every denominator before dividing and every distinctness/nonzero
-condition after, turning any failure into a deterministic non-GRS
-verdict; checking each entry of B against its closed form under the
-recovered spec then decides GRS-ness exactly, for every 0 <= k <= n.
+together), assuming the code is (extended) GRS.  It checks every
+denominator before dividing and every distinctness/nonzero condition
+after, turning any failure into a deterministic non-GRS verdict;
+checking each entry of B against its closed form under the recovered
+spec then decides GRS-ness exactly, for every 0 <= k <= n.
 
 Only the recovery equations depend on k.  For k >= 3 and n - k >= 2
 they work in the chart alpha_1 = 0, alpha_2 = 1, alpha_3 = inf, with one
@@ -49,10 +49,6 @@ CODE_MISMATCH = "code-mismatch"
 ENTRY_ZERO = "entry-zero"
 
 
-class RecoveryError(ValueError):
-    """A guard condition tripped in strict mode."""
-
-
 class _Guard(Exception):
     def __init__(self, reason, stage=""):
         self.reason = reason
@@ -79,18 +75,17 @@ class GrsVerdict:
         return out
 
 
-def trans_to_grs(field: Field, alpha, k: int, v=None):
+def trans_to_grs(field: Field, alpha, k: int, v):
     """Rewrite an evaluation-point vector containing the point at infinity
     into an all-finite one generating the same code.
 
     The chart change is x -> 1/(x - c) with c the smallest field element
     outside the point set (c = 0 whenever 0 is not a point); the multiplier
     at each finite point is scaled by (alpha - c)^(k-1).  A vector without
-    infinity is returned unchanged.  Returns (alpha, v); v is None when not
-    supplied.
+    infinity is returned unchanged.  Returns (alpha, v).
     """
     if not any(a is INF for a in alpha):
-        return tuple(alpha), None if v is None else tuple(v)
+        return tuple(alpha), tuple(v)
     taken = {a for a in alpha if is_finite(a)}
     c = next((e for e in range(field.q) if e not in taken), None)
     if c is None:
@@ -98,16 +93,14 @@ def trans_to_grs(field: Field, alpha, k: int, v=None):
     return _recentre(field, alpha, k, c, v)
 
 
-def _recentre(F: Field, alpha, k: int, c, v=None):
+def _recentre(F: Field, alpha, k: int, c, v):
     """Apply x -> 1/(x - c), which keeps the code fixed: c goes to
     infinity and infinity to 0.  The multiplier at each point sent to a
     finite nonzero value is scaled by (alpha - c)^(k-1); the others keep
-    theirs.  Returns (alpha, v); v is None when not supplied."""
+    theirs.  Returns (alpha, v)."""
     shifted = [F.sub(a, c) if is_finite(a) else INF for a in alpha]
     inv = iter(batch_inv(F, [a for a in shifted if a is not INF and a != 0]))
     out_a = tuple(0 if a is INF else INF if a == 0 else next(inv) for a in shifted)
-    if v is None:
-        return out_a, None
     return out_a, tuple(vj if a is INF or a == 0 else F.mul(vj, F.pow(a, k - 1))
                         for a, vj in zip(shifted, v))
 
@@ -257,13 +250,12 @@ def _check_multipliers(v):
         raise _Guard(ZERO_MULTIPLIER, "v-final")
 
 
-def recover(m: Matrix, strict: bool = False) -> GrsVerdict:
+def recover(m: Matrix) -> GrsVerdict:
     """Recover (alpha, v) from a systematic generator [I | B].
 
-    In guarded mode (the default) any failed denominator, distinctness or
-    nonzero check yields a GrsVerdict with grs=False and the first failing
-    reason; strict mode raises RecoveryError instead and otherwise trusts
-    the input to be a GRS generator.
+    Any failed denominator, distinctness or nonzero check yields a
+    GrsVerdict with grs=False and the first failing reason.  B itself is
+    not checked against the spec; is_grs does that.
     """
     k, n = m.rows, m.cols
     _validate_systematic(m)
@@ -275,8 +267,6 @@ def recover(m: Matrix, strict: bool = False) -> GrsVerdict:
         else:
             alpha, v, _raw = _recover_parts(m)
     except _Guard as g:
-        if strict:
-            raise RecoveryError(f"{g.reason}" + (f" at {g.stage}" if g.stage else "")) from None
         return GrsVerdict(False, reason=g.reason, stage=g.stage)
     spec = GrsSpec(m.field, alpha, v, k)
     return GrsVerdict(True, spec=spec)
@@ -325,7 +315,7 @@ def is_grs(g: Matrix) -> GrsVerdict:
 
     Reduces g to [I | B] in one elimination (its pivots tell a
     rank-deficient g, which is an error, from a singular leading block,
-    which is a verdict), runs guarded recovery and checks every entry of
+    which is a verdict), runs recovery and checks every entry of
     B against its closed form under the recovered spec, in O(nk) field
     operations.  The recovered information points are finite, so that
     closed form is exactly the systematic form of grs_generator(spec).
@@ -337,7 +327,7 @@ def is_grs(g: Matrix) -> GrsVerdict:
         raise ValueError("rank-deficient generator matrix")
     if pivots != tuple(range(k)):
         return GrsVerdict(False, reason=ECHELON_FAIL)
-    verdict = recover(m, strict=False)
+    verdict = recover(m)
     # k = n has no B
     if verdict.grs and k < n and not _spec_gives_block(m, verdict.spec):
         return GrsVerdict(False, reason=CODE_MISMATCH)

@@ -1,9 +1,15 @@
+import contextlib
+import hashlib
 import importlib.resources
+import io
+
+import pytest
 
 from grskit.cli import main
-from grskit.codes import read_matrix_file, read_spec_file, parse_matrix_file
+from grskit.codes import read_matrix_file, read_spec_file, parse_matrix_file, write_matrix_file
 from grskit.codes import LinearCode
 from grskit.codes import code_eq, grs_generator
+from grskit.linalg import Matrix
 
 
 def fixture_path(name):
@@ -106,6 +112,37 @@ def test_table1_text_output(capsys):
     assert "q=11 k=3 n=8 family=modified-grs mds=true grs=non-grs" in lines
     assert "q=11 k=4 n=7 family=modified-grs-star mds=true grs=non-grs" in lines
     assert "q=11 k=5 n=8 family=modified-grs-dual mds=true grs=non-grs" in lines
+
+
+# SHA-256 of `table1 --q <q> --format kv`, pinned so that a change to how
+# the records are decided cannot change a byte of the table
+TABLE1_KV_SHA256 = {
+    8: "a83431626f907974b5eefb6f366dbe5c8ddcf809e33604f87fbf059fad09a579",
+    9: "379133d88d5ef8d06c749f76a0910e1e157ddf49852e4b1cbaf1aa9eef3a09d3",
+    11: "b5177610f05fd9f28e9e92f5af197a5800d1c5abb172d9859e5c1649fa3ad2e7",
+    13: "0e9288870db7827a0630123873f172d0075d1196d1810931710401e7b3d0d74a",
+    16: "32abddbc3527aebbfea1e1bef85ab6944bfbcaeec93aa39610f1a48515559617",
+    17: "9831266fc5e547a6237760228e622a3671412a81bae94d8b16857a760507e92c",
+    19: "1a36661e480c37edc255b80ac600bb5d4f9d1e4dc4ec099e14861587776645f4",
+    23: "c4ee0f9d14ed16902f6a4eb4f6f4cf8e22cf4ba56f97147c65c6ba5ec756687d",
+    25: "ef36a23ca69e5d0bcdcb3db89d2e484c21b05241f6fe65db47aa364fbbb789fa",
+    27: "915be8dd968f93240928c5fa783f97160e1e09f2b72f28d4cbd356fa699f36ca",
+    29: "be502ac3dd0a156668e2a9497f442c150b210d160088a11d24af2f8780b9ab73",
+    31: "f4b3ca00f10b2380d5d8dfba4c361707b6dd9d9deedef78c20eed9bb2bf21cd7",
+    32: "38f95c79ab903a0767cd3577e1dde2d671bf6c6c213564e32d0d47c21a76f0ca",
+    37: "0cdc60528c6c8fd76723889f40b0e1435a800239bf85f81c53e05dd7322b3d3b",
+    49: "e1c195040fcd0c4939c6a9f8f7dce59c862ed4f941efc69bf922790ed0be78d4",
+    64: "210976f71672bcd403214aa212b24858cf6b232b2bec5434fe07c3d1f31f7a1a",
+}
+
+
+@pytest.mark.parametrize("q", sorted(TABLE1_KV_SHA256))
+def test_table1_kv_bytes_pinned(q):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(["table1", "--q", str(q), "--format", "kv"])
+    assert rc == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == TABLE1_KV_SHA256[q]
 
 
 def test_table1_kv_output(capsys):
@@ -232,6 +269,11 @@ def test_mds_budget_exit_code(tmp_path, capsys):
     assert rc == 2 and out == ""
     assert err.strip() == ("error: MDS budget exceeded: C(40,20) > 16777216 "
                            "column subsets for n=40, k=20")
+    # a zero column decides not-MDS before the budget is asked
+    m = read_matrix_file(path)
+    write_matrix_file(path, Matrix(m.field, [row[:7] + (0,) + row[8:] for row in m.data]))
+    rc, out, err = run(capsys, "check", "--kind", "mds", "--in", str(path))
+    assert (rc, out, err) == (0, "verdict=not-mds\n", "")
 
 
 def test_min_distance_budget_exit_code(tmp_path, capsys):

@@ -271,6 +271,9 @@ def test_is_mds_budget():
     c = grs_generator(random_grs_spec(f, 40, 20, random.Random(9)))
     with pytest.raises(ValueError, match=r"C\(40,20\) > 16777216 .* n=40, k=20"):
         is_mds(c)
+    # a zero column decides not-MDS before the budget is asked
+    g = [row[:7] + (0,) + row[8:] for row in c.gen.data]
+    assert is_mds(LinearCode(f, Matrix(f, g))) is False
 
 
 def test_is_mds_op_ceiling_extended_grs():

@@ -1,13 +1,13 @@
 import pytest
 
 from grskit.gf import Field, field_from_order
-from grskit.codes import min_distance, is_mds, dual
+from grskit.codes import LinearCode, min_distance, is_mds, dual, code_eq
 from grskit.families import MgrsParams, mgrs_generator
 from grskit.constructions import (star_modified, odd_k3, plus_modified,
                                   char2_k4, ngrs_q2_3, tgrs_punctured, table1,
                                   expected_length)
-from grskit.families import RothLempelParams, roth_lempel_generator
-from grskit.grsid import cauchy_test
+from grskit.families import RothLempelParams, roth_lempel_generator, roth_lempel_is_mds
+from grskit.grsid import cauchy_test, is_grs
 
 from .test_acceptance import _expected_table_rows
 from .test_codes import schur_square_dim
@@ -132,48 +132,76 @@ def test_ngrs_equals_roth_lempel_on_all_points(f8):
 
 
 def test_each_record_verified_once(monkeypatch):
-    # MDS verdicts come from certificates: a dual row walks no columns and
-    # decides GRS-ness of its own code only, a lone tgrs_punctured record
-    # walks the Roth-Lempel [q+2, 3] code, and table1 walks that code once
-    # per char-2 field and nothing on odd q; is_grs runs once per record
-    from grskit import constructions, grsid
-    calls = {"mds": 0, "grs": 0}
+    # MDS verdicts are certificates, so no columns are walked; is_grs runs
+    # once, on the code a row is built from, and a dual row takes both
+    # verdicts of its primal
+    from grskit import codes, constructions, grsid
+    calls = {"rl": 0, "grs": []}
 
-    def counted(key, fn):
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
-        return wrapper
+    def no_walk(*args):
+        raise AssertionError("column walk")
 
-    monkeypatch.setattr(constructions, "is_mds", counted("mds", constructions.is_mds))
-    monkeypatch.setattr(grsid, "is_grs", counted("grs", grsid.is_grs))
-    for build in (lambda: odd_k3(Field(11), 5), lambda: odd_k3(Field(13), 6),
-                  lambda: char2_k4(Field(2, 3), 3), lambda: char2_k4(Field(2, 4), 7)):
-        calls.update(mds=0, grs=0)
+    def counted_rl(p):
+        calls["rl"] += 1
+        return roth_lempel_is_mds(p)
+
+    def counted_grs(g):
+        calls["grs"].append(g)
+        return is_grs(g)
+
+    monkeypatch.setattr(codes, "_columns_independent", no_walk)
+    monkeypatch.setattr(constructions, "roth_lempel_is_mds", counted_rl)
+    monkeypatch.setattr(grsid, "is_grs", counted_grs)
+
+    def same_code(g, code):
+        return code_eq(LinearCode(code.field, g), code)
+
+    for build, k in ((lambda: odd_k3(Field(11), 5), 3), (lambda: odd_k3(Field(13), 6), 3),
+                     (lambda: char2_k4(Field(2, 3), 3), 4),
+                     (lambda: char2_k4(Field(2, 4), 7), 4)):
+        calls.update(rl=0, grs=[])
         rec = build()
         assert rec.family == "modified-grs-dual"
-        assert calls == {"mds": 0, "grs": 1}
-    calls.update(mds=0, grs=0)
-    tgrs_punctured(Field(2, 4), 9)
-    assert calls == {"mds": 1, "grs": 1}
+        [g] = calls["grs"]
+        assert g.rows == k and same_code(g, dual(rec.code))
+    calls.update(rl=0, grs=[])
+    rec = tgrs_punctured(Field(2, 4), 9)
+    [g] = calls["grs"]
+    assert calls["rl"] == 1 and (g.rows, g.cols) == (3, 12) and same_code(g, dual(rec.code))
     for q in (8, 9, 11, 16, 25, 32):
-        calls.update(mds=0, grs=0)
+        calls.update(rl=0, grs=[])
         report = table1(field_from_order(q))
-        assert calls["mds"] == (q % 2 == 0)
-        assert calls["grs"] == len(report.records)
+        assert calls["rl"] == (q % 2 == 0)
+        built = [rec for rec in report.records
+                 if rec.family not in ("modified-grs-dual", "roth-lempel-dual")]
+        assert len(calls["grs"]) == len(built)
+        for g, rec in zip(calls["grs"], built):
+            if rec.family == "twisted-grs":
+                assert g.rows == 3 and same_code(g, dual(rec.code)), rec.summary()
+            else:
+                assert g is rec.code.gen, rec.summary()
 
 
 def test_records_carry_their_certificate(monkeypatch):
     # with every certificate forced to False, every record, dual and
     # punctured rows included, must read mds=False
     from grskit import constructions
-    for name in ("is_mds", "mgrs_is_mds", "emgrs_is_mds"):
+    for name in ("roth_lempel_is_mds", "mgrs_is_mds", "emgrs_is_mds"):
         monkeypatch.setattr(constructions, name, lambda *args: False)
     for q in (8, 11, 16):
         records = table1(field_from_order(q)).records
         assert records and not any(rec.mds for rec in records)
     assert not tgrs_punctured(Field(2, 3), 5).mds
+    assert not ngrs_q2_3(Field(2, 3)).mds
     assert not plus_modified(Field(2, 4), 5, extended=False).mds
+
+
+@pytest.mark.parametrize("q", [8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32])
+def test_table1_inherited_grs_verdicts_match_is_grs(q):
+    # dual and punctured rows take their GRS verdict from the code they are
+    # built from; is_grs on the record's own code is the oracle
+    for rec in table1(field_from_order(q)).records:
+        assert rec.grs_verdict == is_grs(rec.code.gen).grs, rec.summary()
 
 
 @pytest.mark.parametrize("q", [8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32])
@@ -185,7 +213,7 @@ def test_table1_certificates_match_column_walk(q):
         assert rec.mds == is_mds(rec.code), rec.summary()
 
 
-@pytest.mark.parametrize("q", [49, 64])
+@pytest.mark.parametrize("q", [8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 49, 64])
 def test_table1_large_q_rows_mds_and_schur_non_grs(q):
     # the paper's rows, every record MDS, and non-GRS twice over: by
     # is_grs and, independently, by the Schur square of the smaller of the

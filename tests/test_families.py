@@ -13,7 +13,8 @@ from grskit.codes import (LinearCode, GrsSpec, grs_generator, dual, puncture,
 from grskit.families import (MgrsParams, EmgrsParams, TgrsParams,
                              RothLempelParams, TWIST_ZERO, TWIST_TOP,
                              mgrs_generator, emgrs_generator, mgrs_is_mds,
-                             emgrs_is_mds, c_code_generator, d_code_generator,
+                             emgrs_is_mds, roth_lempel_is_mds,
+                             c_code_generator, d_code_generator,
                              tgrs_generator, tgrs_dual_parity,
                              roth_lempel_generator, col_twisted_generator)
 from grskit.grsid import is_grs
@@ -298,6 +299,23 @@ def test_roth_lempel_appended_columns(f11):
         RothLempelParams(f11, (0, 1, 2), 0, 3)  # n < k+3
     with pytest.raises(ValueError):
         RothLempelParams(f11, (0, 1, 2, 3), 0, 2)  # k < 3
+
+
+def test_roth_lempel_is_mds_matches_column_walk():
+    # the point-sum certificate against the is_mds column walk, with both
+    # verdicts seen often enough for either direction of a wrong rule to show
+    rng = random.Random(14)
+    seen = Counter()
+    for _ in range(400):
+        q = rng.choice((7, 8, 9, 11, 13, 16))
+        f = field_from_order(q)
+        k = rng.randrange(3, 6)
+        n = rng.randrange(k + 3, min(q + 2, k + 8) + 1)
+        p = RothLempelParams(f, tuple(rng.sample(range(q), n - 2)), rng.randrange(q), k)
+        verdict = roth_lempel_is_mds(p)
+        assert verdict == is_mds(roth_lempel_generator(p)), p
+        seen[verdict] += 1
+    assert min(seen[True], seen[False]) >= 20, seen
 
 
 def test_roth_lempel_equals_mgrs_transform():

@@ -12,7 +12,7 @@ from grskit.families import MgrsParams, mgrs_generator
 from grskit import grsid
 from grskit.grsid import (trans_to_grs, recover, is_grs, cauchy_test,
                           brute_force_recover, bench_recover, random_grs_spec,
-                          CountingField, GrsVerdict, RecoveryError, ECHELON_FAIL,
+                          CountingField, GrsVerdict, ECHELON_FAIL,
                           CODE_MISMATCH, ENTRY_ZERO)
 
 
@@ -99,8 +99,6 @@ def test_recover_range_check(f11):
     # a zero entry at k = 1 and k = n-1, a repeated point at k = 2
     for rows in ([[1, 0, 3]], [[1, 0, 0], [0, 1, 2]], [[1, 0, 1, 2], [0, 1, 1, 2]]):
         assert not recover(Matrix(f11, rows)).grs
-        with pytest.raises(RecoveryError):
-            recover(Matrix(f11, rows), strict=True)
 
 
 def test_guarded_recover_never_raises():
@@ -126,14 +124,7 @@ def test_guarded_recover_never_raises():
             assert verdict.spec is not None
 
 
-def test_strict_mode_raises_on_guard():
-    f11 = Field(11)
-    zero_b = Matrix(f11, [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]])
-    with pytest.raises(RecoveryError):
-        recover(zero_b, strict=True)
-
-
-def test_strict_mode_recovers_grs_inputs():
+def test_recover_grs_inputs():
     rng = random.Random(34)
     for q, n, k in ((11, 9, 3), (11, 12, 3), (13, 10, 4), (8, 9, 5), (9, 10, 6)):
         f = field_from_order(q)
@@ -141,7 +132,7 @@ def test_strict_mode_recovers_grs_inputs():
         code = grs_generator(spec)
         m, ok = grsid.linalg.echelonize(code.gen)
         assert ok
-        verdict = recover(m, strict=True)
+        verdict = recover(m)
         assert verdict.grs
         assert code_eq(grs_generator(verdict.spec), code)
 

@@ -1,10 +1,15 @@
-"""Write the end-to-end is_grs rows of the ROADMAP to a BENCH JSON file.
+"""Write the end-to-end is_grs and table1 rows of the ROADMAP to a BENCH
+JSON file.
 
-Each row times is_grs and one rref on the same input, the canonical
-generator of a seeded random GRS spec (dense, not systematic), for
-[256,128] over GF(257) and [200,50] over GF(256).  Wall times are the
+Each is_grs row times is_grs and one rref on the same input, the
+canonical generator of a seeded random GRS spec (dense, not systematic),
+for [256,128] over GF(257) and [200,50] over GF(256).  Wall times are the
 median of --repeat runs, the two calls taking turns to go first;
 field-operation counts come from one more run of each over
+grsid.CountingField.  Each table1 row, for q = 16, 25 and 32, times
+`table1 --q <q> --format kv` through cli.main (median of --repeat runs)
+and takes the record count, the field-operation count and whether every
+record reads MDS and non-GRS from one more table1 over
 grsid.CountingField.  The rows are stored under
 --side in --out, and the other sides already in that file are kept, so
 one file holds a parent tree's numbers next to a change's.
@@ -21,6 +26,8 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -29,14 +36,18 @@ import sys
 import time
 from statistics import median
 
+from grskit.cli import main as cli_main
 from grskit.codes import grs_generator
+from grskit.constructions import table1
 from grskit.gf import field_from_order
 from grskit.grsid import CountingField, is_grs, random_grs_spec
 from grskit.linalg import Matrix, rref
 
 # (q, n, k): the two is_grs rows of the ROADMAP's north star
 SHAPES = ((257, 256, 128), (256, 200, 50))
-# seed of the random GRS spec behind every row, recorded in the JSON
+# field orders of the table1 rows of the ROADMAP's north star
+TABLE_QS = (16, 25, 32)
+# seed of the random GRS spec behind every is_grs row, recorded in the JSON
 SEED = 13
 
 
@@ -76,6 +87,28 @@ def bench_row(q: int, n: int, k: int, repeat: int) -> dict:
     }
 
 
+def table_row(q: int, repeat: int) -> dict:
+    argv = ["table1", "--q", str(q), "--format", "kv"]
+    times = []
+    for _ in range(repeat):
+        with contextlib.redirect_stdout(io.StringIO()):
+            t, rc = _timed(cli_main, argv)
+        if rc != 0:
+            raise SystemExit(f"table1 --q {q} exited {rc}")
+        times.append(t)
+    cf = CountingField(field_from_order(q))
+    records = table1(cf).records
+    return {
+        "name": f"table1 --q {q}",
+        "repeat": repeat,
+        "table1_s": round(median(times), 4),
+        "records": len(records),
+        "ops": cf.ops,
+        "all_mds": all(r.mds for r in records),
+        "all_non_grs": not any(r.grs_verdict for r in records),
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--side", required=True, help="label of the measured tree, e.g. parent or change")
@@ -85,6 +118,7 @@ def main(argv=None) -> int:
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
     rows = [bench_row(q, n, k, args.repeat) for q, n, k in SHAPES]
+    rows += [table_row(q, args.repeat) for q in TABLE_QS]
     try:
         with open(args.out) as fh:
             doc = json.load(fh)
@@ -101,9 +135,8 @@ def main(argv=None) -> int:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for r in rows:
-        print(f"{args.side} {r['name']} grs={str(r['grs']).lower()} "
-              f"rref_s={r['rref_s']} is_grs_s={r['is_grs_s']} ratio={r['ratio']} "
-              f"rref_ops={r['rref_ops']} is_grs_ops={r['is_grs_ops']}")
+        print(args.side, " ".join(f"{key}={str(val).lower() if isinstance(val, bool) else val}"
+                                  for key, val in r.items()))
     return 0
 
 
