@@ -2,14 +2,19 @@
 
 Exit codes: 0 for a completed run (verdicts are payload, not status),
 2 for usage errors, 3 for malformed input files.
+
+main() builds its argparse parser on its first call and reuses it for
+every later call in the process; fields come from the interned
+gf.field_new, so calls that name one field share one Field.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
-from .gf import Field, field_from_order, INF, _parse_decimal, _parse_modulus
+from .gf import Field, field_new, field_from_order, INF, _parse_decimal, _parse_modulus
 from .codes import (LinearCode, GrsSpec, FormatError, grs_generator, dual,
                     puncture, shorten, min_distance, is_mds,
                     read_matrix_file, format_matrix_file, write_matrix_file,
@@ -30,13 +35,14 @@ class UsageError(ValueError):
 
 
 def _field_from_args(args) -> Field:
-    if getattr(args, "q", None):
+    # "is not None", not truthiness: --q 0 and --s 0 are given, and invalid
+    if args.q is not None:
         if (args.p, args.s, args.mod) != (None, None, None):
             raise UsageError("--q excludes --p, --s and --mod")
         return field_from_order(args.q)
-    if getattr(args, "p", None):
+    if args.p is not None:
         mod = None if args.mod is None else _parse_modulus(args.mod)
-        return Field(args.p, args.s or 1, mod)
+        return field_new(args.p, 1 if args.s is None else args.s, mod)
     raise UsageError("specify --q or --p/--s")
 
 
@@ -257,8 +263,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every main() call, built by the first one: building
+    it costs more than most commands (about 2 ms), and parse_args keeps no
+    state between calls.  Not built at import, so importing grskit.cli
+    stays cheap."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:

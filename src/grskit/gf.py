@@ -10,6 +10,11 @@ every call, including the multiplications inside pow and, on extension
 fields, inside inv = pow(a, q-2).  Characteristic 2 adds by XOR; odd
 extensions work digit by digit in base p.
 
+The factories field_new and field_from_order intern their fields: one
+Field object per (p, s, modulus) and process, built on first use, so
+per-field work is paid once however many files name the field.  Calling
+Field(...) directly builds a fresh instance every time.
+
 Element tokens in files are canonical ASCII decimals (0 or no leading
 zero), or "inf" where the point at infinity is legal.
 
@@ -306,13 +311,40 @@ class Field:
         return f"GF({self.p}^{self.s})"
 
 
+# interned fields, keyed by (p, s, modulus) and by (p, s, None) for the
+# default modulus; only fields that constructed without error are kept
+_FIELDS: dict = {}
+
+
 def field_new(p: int, s: int = 1, modulus=None) -> Field:
-    """Deterministic field constructor; see Field."""
-    return Field(p, s, modulus)
+    """The interned GF(p^s) under modulus (a sequence of coefficients, or
+    None for the default one); see Field.
+
+    Every call with the same p, s and modulus, given as a list or a tuple,
+    returns the same object, and the default modulus spelt out returns the
+    object built without one.  So a field is built (its irreducibility
+    check and primitive-element search) once per process.  An invalid
+    modulus is not cached and raises on every call.  Field(...) itself
+    always builds a fresh instance.
+    """
+    if modulus is not None:
+        modulus = tuple(modulus)
+    key = (p, s, modulus)
+    try:
+        return _FIELDS[key]
+    except KeyError:
+        pass
+    except TypeError:  # unhashable coefficients, which Field rejects
+        return Field(p, s, modulus)
+    F = Field(p, s, modulus)
+    F = _FIELDS.setdefault((p, s, F.modulus), F)
+    _FIELDS[key] = F
+    return F
 
 
 def field_from_order(q: int) -> Field:
-    """Build GF(q) from a prime power q, using the default modulus."""
+    """The interned GF(q) of a prime power q under the default modulus,
+    the object field_new(p, s) returns."""
     for p in range(2, q + 1):
         if q % p == 0:
             s = 0
@@ -322,7 +354,7 @@ def field_from_order(q: int) -> Field:
                 s += 1
             if m != 1:
                 raise ValueError(f"q={q} is not a prime power")
-            return Field(p, s)
+            return field_new(p, s)
     raise ValueError(f"q={q} is not a prime power")
 
 

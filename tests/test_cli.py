@@ -2,9 +2,11 @@ import contextlib
 import hashlib
 import importlib.resources
 import io
+import re
 
 import pytest
 
+from grskit import cli
 from grskit.cli import main
 from grskit.codes import read_matrix_file, read_spec_file, parse_matrix_file, write_matrix_file
 from grskit.codes import LinearCode
@@ -311,3 +313,85 @@ def test_construct_stdout_when_no_out(capsys):
     assert rc == 0
     m = parse_matrix_file(out)
     assert (m.rows, m.cols) == (3, 6)
+
+
+def test_zero_field_flags_are_usage_errors(capsys):
+    # --s 0 is an invalid degree, not a missing one, and --q 0 is given
+    rc, out, err = run(capsys, "field", "--p", "2", "--s", "0")
+    assert (rc, out) == (2, "") and err == "error: extension degree must be >= 1\n"
+    rc, out, err = run(capsys, "field", "--q", "0", "--p", "3")
+    assert (rc, out) == (2, "") and err == "error: --q excludes --p, --s and --mod\n"
+
+
+def _cli_session(tmp_path, capsys):
+    """One main() sequence over every subcommand, usage errors (exit 2),
+    a malformed file (exit 3) and --help (exit 0) among them: each call's
+    exit code, stdout, stderr and the bytes of every file it wrote."""
+    src = fixture_path("f11_puncture_shorten_7_4.txt")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("field p=11 s=1 mod=0,1\nmatrix 1 3\n1 02 3\n")
+    g = str(tmp_path / "g.txt")
+    calls = [
+        ["field", "--p", "3", "--s", "2"],
+        ["construct", "--q", "11", "--family", "mgrs", "--n", "7", "--k", "3",
+         "--t", "1", "--eta", "4", "--out", g],
+        ["check", "--kind", "mds", "--in", g],
+        ["--help"],
+        ["check", "--kind", "min-dist", "--in", g],
+        ["check", "--kind", "is-grs", "--in", bad],
+        ["check", "--kind", "cauchy", "--in", src],
+        ["recover", "--in", src],
+        ["check", "--kind", "nope", "--in", src],
+        ["transform", "--op", "puncture", "--pos", "7", "--in", src,
+         "--out", str(tmp_path / "p.txt")],
+        ["recover", "--in", str(tmp_path / "p.txt"), "--out", str(tmp_path / "spec.txt")],
+        ["transform", "--help"],
+        ["transform", "--op", "shorten", "--in", src],
+        ["transform", "--op", "dual", "--in", src],
+        ["construct", "--q", "11", "--family", "grs", "--n", "6", "--k", "3"],
+        ["table1", "--q", "8", "--format", "kv"],
+        ["table1", "--p", "3", "--s", "2"],
+        ["bench", "--q", "13", "--k", "3", "--n", "8", "--trials", "1"],
+        ["bench", "--q", "13", "--k", "3"],
+        ["field", "--q", "8", "--p", "2"],
+        [],
+    ]
+    results = []
+    for argv in calls:
+        before = set(tmp_path.iterdir())
+        rc = main([str(a) for a in argv])
+        out = capsys.readouterr()
+        written = {p.name: p.read_bytes() for p in set(tmp_path.iterdir()) - before}
+        # bench prints wall time, the one byte that may differ
+        stdout = re.sub(r"median_ms=[0-9.]+", "median_ms=*", out.out)
+        results.append((argv, rc, stdout, out.err, written))
+    for p in tmp_path.iterdir():
+        p.unlink()
+    return results
+
+
+def test_reused_parser_matches_a_fresh_parser(tmp_path, capsys, monkeypatch):
+    assert cli._parser() is cli._parser()
+    reused = _cli_session(tmp_path, capsys)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = _cli_session(tmp_path, capsys)
+    assert reused == fresh
+    assert {r[1] for r in reused} == {0, 2, 3}
+    # the malformed file exits 3 between calls that succeed
+    assert [r[1] for r in reused[4:7]] == [0, 3, 0]
+
+
+def test_no_argument_leaks_between_calls(tmp_path, capsys):
+    src = fixture_path("f11_puncture_shorten_7_4.txt")
+    out_path = tmp_path / "d.txt"
+    rc, out, _ = run(capsys, "transform", "--op", "dual", "--in", src, "--out", str(out_path))
+    assert rc == 0 and out_path.exists()
+    out_path.unlink()
+    rc, out, _ = run(capsys, "transform", "--op", "dual", "--in", src)
+    assert rc == 0 and out.startswith("field p=11")
+    assert list(tmp_path.iterdir()) == []
+    # a flag given once is not a default for the next call either
+    rc, _, _ = run(capsys, "transform", "--op", "puncture", "--pos", "7", "--in", src)
+    assert rc == 0
+    rc, out, err = run(capsys, "transform", "--op", "puncture", "--in", src)
+    assert (rc, out) == (2, "") and err == "error: --pos is required for this family\n"

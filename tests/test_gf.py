@@ -65,10 +65,50 @@ def test_primitive_enumerates_nonzero_elements(q):
 
 
 def test_construction_is_deterministic():
-    a = field_new(2, 4)
-    b = field_new(2, 4)
+    # two constructions, not one interned field twice
+    a = Field(2, 4)
+    b = Field(2, 4)
     assert (a.p, a.s, a.q, a.modulus, a.primitive) == (b.p, b.s, b.q, b.modulus, b.primitive)
     assert a == b
+
+
+def test_factories_intern_fields():
+    assert field_new(2, 4) is field_from_order(16)
+    assert field_new(11) is field_from_order(11)
+    # a list and a tuple modulus name one field, and so does the default
+    # modulus spelt out
+    gf8 = field_new(2, 3, [1, 1, 0, 1])
+    assert gf8 is field_new(2, 3, (1, 1, 0, 1)) is field_new(2, 3)
+    other = field_new(2, 3, (1, 0, 1, 1))
+    assert other is field_new(2, 3, [1, 0, 1, 1]) and other is not gf8
+    # Field(...) builds a fresh, equal instance
+    fresh = Field(2, 4)
+    assert fresh is not field_new(2, 4) and fresh == field_new(2, 4)
+
+
+def test_factories_raise_on_every_bad_call():
+    # only fields that construct are kept: a bad modulus raises each time
+    for _ in range(3):
+        with pytest.raises(ValueError, match="reducible"):
+            field_new(2, 3, (1, 0, 0, 1))  # x^3 + 1 = (x+1)(x^2+x+1)
+        with pytest.raises(ValueError, match="reducible"):
+            field_new(2, 3, [1, 0, 0, 1])
+        with pytest.raises(ValueError):
+            field_from_order(12)
+        with pytest.raises(ValueError):
+            field_new(2, 3, [[1], 1, 0, 1])  # an unhashable coefficient
+
+
+def test_counting_field_leaves_interned_field_uncounted():
+    from grskit.grsid import CountingField
+    f = field_new(3, 2)
+    cf = CountingField(f)
+    f.mul(2, 5)
+    f.inv(4)
+    assert cf.ops == 0
+    cf.mul(2, 5)
+    assert cf.ops == 1
+    assert field_new(3, 2) is f and type(f) is Field
 
 
 def test_pow_negative_exponent(f11):

@@ -1,24 +1,30 @@
-"""Write the end-to-end is_grs and table1 rows of the ROADMAP to a BENCH
-JSON file.
+"""Write the ROADMAP's end-to-end rows (cli.main, is_grs, table1) and its
+field arithmetic rows to a BENCH JSON file.
 
-Each is_grs row times is_grs and one rref on the same input, the
-canonical generator of a seeded random GRS spec (dense, not systematic),
-for [256,128] over GF(257) and [200,50] over GF(256).  Wall times are the
-median of --repeat runs, the two calls taking turns to go first;
-field-operation counts come from one more run of each over
-grsid.CountingField.  Each table1 row, for q = 16, 25 and 32, times
-`table1 --q <q> --format kv` through cli.main (median of --repeat runs)
-and takes the record count, the field-operation count and whether every
-record reads MDS and non-GRS from one more table1 over
-grsid.CountingField.  The rows are stored under
---side in --out, and the other sides already in that file are kept, so
-one file holds a parent tree's numbers next to a change's.
+The cli.main row runs first, in a process that has made no CLI call yet.
+It times the first `check --kind is-grs` on one small GRS file, [10,4]
+over GF(16) written through a Field of its own, and the median of the
+next CLI_CALLS calls of the same command: what a call pays once per
+process and what it pays every time.  Each field row times
+Field.mul/add/inv on seeded nonzero operands over GF(257), GF(256) and
+GF(3^5), in nanoseconds a call, the least of --repeat runs.  Each is_grs
+row times is_grs and one rref on the same input, the canonical generator
+of a seeded random GRS spec (dense, not systematic), for [256,128] over
+GF(257) and [200,50] over GF(256).  Wall times are the median of
+--repeat runs, the two calls taking turns to go first; field-operation
+counts come from one more run of each over grsid.CountingField.  Each
+table1 row, for q = 16, 25 and 32, times `table1 --q <q> --format kv`
+through cli.main (median of --repeat runs) and takes the record count,
+the field-operation count and whether every record reads MDS and non-GRS
+from one more table1 over grsid.CountingField.  The rows are stored
+under --side in --out, and the other sides already in that file are
+kept, so one file holds a parent tree's numbers next to a change's.
 
 The writer uses only grskit's public names, so it runs against any tree
 that has them:
 
-    PYTHONPATH=src python tools/bench_rows.py --side change --out BENCH_13.json
-    PYTHONPATH=<other tree>/src python tools/bench_rows.py --side parent --out BENCH_13.json
+    PYTHONPATH=src python tools/bench_rows.py --side change --out BENCH_15.json
+    PYTHONPATH=<other tree>/src python tools/bench_rows.py --side parent --out BENCH_15.json
 
 Standard library only.
 """
@@ -33,13 +39,14 @@ import os
 import platform
 import random
 import sys
+import tempfile
 import time
 from statistics import median
 
 from grskit.cli import main as cli_main
-from grskit.codes import grs_generator
+from grskit.codes import grs_generator, write_matrix_file
 from grskit.constructions import table1
-from grskit.gf import field_from_order
+from grskit.gf import Field, field_from_order
 from grskit.grsid import CountingField, is_grs, random_grs_spec
 from grskit.linalg import Matrix, rref
 
@@ -47,7 +54,16 @@ from grskit.linalg import Matrix, rref
 SHAPES = ((257, 256, 128), (256, 200, 50))
 # field orders of the table1 rows of the ROADMAP's north star
 TABLE_QS = (16, 25, 32)
-# seed of the random GRS spec behind every is_grs row, recorded in the JSON
+# (p, s, n, k) of the GRS file behind the cli.main row, and the number of
+# calls after the first whose median it reports
+CLI_SHAPE = (2, 4, 10, 4)
+CLI_CALLS = 60
+# field orders of the field arithmetic rows: prime, char-2 and odd extension
+FIELD_QS = (257, 256, 243)
+# operand pairs per timed run of a field row
+FIELD_OPS = 4000
+# seed of the random GRS specs and operands behind every row, recorded in
+# the JSON
 SEED = 13
 
 
@@ -55,6 +71,54 @@ def _timed(fn, arg):
     t0 = time.perf_counter()
     out = fn(arg)
     return time.perf_counter() - t0, out
+
+
+def cli_row() -> dict:
+    p, s, n, k = CLI_SHAPE
+    # a field of its own, so the first CLI call builds the field it reads
+    spec = random_grs_spec(Field(p, s), n, k, random.Random(SEED))
+    times, outs = [], set()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grs.txt")
+        write_matrix_file(path, grs_generator(spec).gen)
+        argv = ["check", "--kind", "is-grs", "--in", path]
+        for _ in range(1 + CLI_CALLS):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                t, rc = _timed(cli_main, argv)
+            if rc != 0:
+                raise SystemExit(f"{' '.join(argv[:3])} exited {rc}")
+            times.append(t)
+            outs.add(buf.getvalue())
+    return {
+        "name": f"cli.main check --kind is-grs [{n},{k}]/GF({p ** s})",
+        "calls": 1 + CLI_CALLS,
+        "first_s": round(times[0], 5),
+        "median_s": round(median(times[1:]), 5),
+        "grs": len(outs) == 1 and outs.pop().startswith("verdict=grs "),
+    }
+
+
+def field_row(q: int, repeat: int) -> dict:
+    F = field_from_order(q)
+    rng = random.Random(f"{SEED}:{q}")
+    xs = [rng.randrange(1, q) for _ in range(FIELD_OPS)]
+    ys = [rng.randrange(1, q) for _ in range(FIELD_OPS)]
+    row = {"name": f"gf {F!r}", "ops": FIELD_OPS, "repeat": repeat}
+    for op in ("mul", "add", "inv"):
+        fn = getattr(F, op)
+        best = float("inf")
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            if op == "inv":
+                for x in xs:
+                    fn(x)
+            else:
+                for x, y in zip(xs, ys):
+                    fn(x, y)
+            best = min(best, time.perf_counter() - t0)
+        row[f"{op}_ns"] = round(best / FIELD_OPS * 1e9, 1)
+    return row
 
 
 def bench_row(q: int, n: int, k: int, repeat: int) -> dict:
@@ -117,7 +181,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
-    rows = [bench_row(q, n, k, args.repeat) for q, n, k in SHAPES]
+    rows = [cli_row()]  # first: it times the process's first CLI call
+    rows += [field_row(q, args.repeat) for q in FIELD_QS]
+    rows += [bench_row(q, n, k, args.repeat) for q, n, k in SHAPES]
     rows += [table_row(q, args.repeat) for q in TABLE_QS]
     try:
         with open(args.out) as fh:
