@@ -536,7 +536,7 @@ def parse_matrix_by_tokens(text):
 def _parse_outcome(parse, text):
     try:
         m = parse(text)
-    except Exception as e:  # noqa: BLE001 - the type is compared too
+    except Exception as e:  # any type: the two parsers must raise the same one
         return type(e).__name__, str(e)
     return "ok", m.field, m.data
 

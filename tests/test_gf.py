@@ -5,6 +5,7 @@ import pytest
 
 from grskit.gf import (Field, field_new, field_from_order, INF, is_finite,
                        proj_inv, batch_inv, format_element, parse_element)
+from grskit.grsid import CountingField
 
 
 def test_f11_primitive_and_inverse(f11):
@@ -100,7 +101,6 @@ def test_factories_raise_on_every_bad_call():
 
 
 def test_counting_field_leaves_interned_field_uncounted():
-    from grskit.grsid import CountingField
     f = field_new(3, 2)
     cf = CountingField(f)
     f.mul(2, 5)
