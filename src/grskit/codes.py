@@ -11,15 +11,11 @@ Coordinate positions are 1-based in every public signature and in the
 file formats; internally everything is 0-based.
 
 A matrix or spec file takes its field from gf.field_new, so the files of
-one field share one interned Field.  Each matrix row is checked whole,
-by one regular-expression match and one range check; a row that fails
-is read again token by token, so its FormatError names the first bad
-token exactly as a token-by-token parse would.
+one field share one interned Field.
 """
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
@@ -386,13 +382,6 @@ def _parse_field_header(line: str) -> Field:
         raise FormatError(str(e)) from e
 
 
-# a row of canonical ASCII decimals joined by single blanks (see
-# gf._parse_decimal): [0-9], since \d takes non-ASCII digits, and at most
-# 100 digits a token, far below int()'s digit limit; a longer token goes
-# to the token loop, which says why it fails
-_ROW = re.compile(r"(?:0|[1-9][0-9]{0,99})(?: (?:0|[1-9][0-9]{0,99}))*")
-
-
 def format_matrix_file(m: Matrix) -> str:
     lines = [_field_header(m.field), f"matrix {m.rows} {m.cols}"]
     for r in m.data:
@@ -414,19 +403,11 @@ def parse_matrix_file(text: str) -> Matrix:
         raise FormatError(f"bad matrix header: {lines[1]!r}") from None
     if len(lines) != 2 + k:
         raise FormatError(f"expected {k} matrix rows, found {len(lines) - 2}")
-    q = field.q
     rows = []
     for ln in lines[2:]:
         toks = ln.split()
         if len(toks) != n:
             raise FormatError(f"expected {n} entries per row, found {len(toks)}")
-        # one check of the whole row; on a miss the token loop finds the
-        # first bad token and raises its error
-        if _ROW.fullmatch(" ".join(toks)):
-            row = list(map(int, toks))
-            if max(row) < q:
-                rows.append(row)
-                continue
         try:
             rows.append([parse_element(field, t) for t in toks])
         except ValueError as e:

@@ -324,21 +324,24 @@ def field_new(p: int, s: int = 1, modulus=None) -> Field:
     returns the same object, and the default modulus spelt out returns the
     object built without one.  So a field is built (its irreducibility
     check and primitive-element search) once per process.  An invalid
-    modulus is not cached and raises on every call.  Field(...) itself
-    always builds a fresh instance.
+    modulus is not cached and raises on every call, and arguments that
+    are not all plain ints (a float or bool p, s or coefficient) are
+    passed to a fresh Field(...), which checks them as usual.  Field(...)
+    itself always builds a fresh instance.
     """
     if modulus is not None:
         modulus = tuple(modulus)
-    key = (p, s, modulus)
-    try:
-        return _FIELDS[key]
-    except KeyError:
-        pass
-    except TypeError:  # unhashable coefficients, which Field rejects
+    # only a key of plain ints is interned: 2.0 or True equals an int as a
+    # dict key but not as an argument, so such a call builds afresh and
+    # Field checks it the same whatever was built before
+    if not all(type(x) is int for x in (p, s, *(modulus or ()))):
         return Field(p, s, modulus)
-    F = Field(p, s, modulus)
-    F = _FIELDS.setdefault((p, s, F.modulus), F)
-    _FIELDS[key] = F
+    key = (p, s, modulus)
+    F = _FIELDS.get(key)
+    if F is None:
+        F = Field(p, s, modulus)
+        F = _FIELDS.setdefault((p, s, F.modulus), F)
+        _FIELDS[key] = F
     return F
 
 

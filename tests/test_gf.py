@@ -98,6 +98,15 @@ def test_factories_raise_on_every_bad_call():
             field_from_order(12)
         with pytest.raises(ValueError):
             field_new(2, 3, [[1], 1, 0, 1])  # an unhashable coefficient
+    # 1.0 and 2.0 equal ints as dict keys, yet an interned GF(8) does not
+    # answer for them: they are checked as if no field had been built
+    field_new(2, 3, [1, 1, 0, 1])
+    with pytest.raises(ValueError, match="integers"):
+        field_new(2, 3, [1.0, 1, 0, 1])
+    with pytest.raises(TypeError):
+        field_new(2.0, 3)
+    with pytest.raises(TypeError):
+        field_new(2, 3.0, (1, 1, 0, 1))
 
 
 def test_counting_field_leaves_interned_field_uncounted():
