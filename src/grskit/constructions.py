@@ -11,7 +11,10 @@ the MDS verdict of the code it is punctured from (MacWilliams-Sloane
 ch. 11) and decides GRS-ness on the punctured code, whose dual it is.
 All arbitrary choices (non-square element, subspace and coset
 enumeration order) are fixed deterministically from the field's
-primitive element, so records are reproducible byte for byte.
+primitive element: modified-GRS points are taken from its powers in order
+(Field.powers_of_primitive), so records are reproducible byte for byte.
+Each row is stated once, by its builder, whose point set fixes the
+row's length; table1 only lists the records.
 """
 
 from __future__ import annotations
@@ -122,15 +125,8 @@ def star_modified(field: Field, k: int) -> ConstructionRecord:
     n = (q + 3) // 2
     if not 4 <= k <= n - 2:
         raise ValueError(f"need 4 <= k <= {n - 2}")
-    w = field.primitive
-    w2 = field.mul(w, w)
-    alpha = []
-    x = 1
-    for _ in range((q - 1) // 2):
-        x = field.mul(x, w2)
-        alpha.append(x)
-    alpha.append(0)
-    eta_prime = w  # a generator is never a square
+    alpha = field.powers_of_primitive()[2::2] + [1, 0]
+    eta_prime = field.primitive  # a generator is never a square
     assert field.pow(eta_prime, (q - 1) // 2) == field.neg(1)
     eta = eta_prime if k % 2 == 0 else field.neg(eta_prime)
     params = MgrsParams(field, tuple(alpha), (1,) * n, eta, k - 1, k)
@@ -144,13 +140,7 @@ def odd_k3(field: Field, k: int) -> ConstructionRecord:
     if field.p == 2:
         raise ValueError("needs odd characteristic")
     n = (q + 5) // 2
-    w = field.primitive
-    alpha = []
-    x = 1
-    for _ in range((q - 1) // 2):
-        x = field.mul(x, w)
-        alpha.append(x)
-    alpha.extend([1, 0])
+    alpha = field.powers_of_primitive()[1:(q + 1) // 2] + [1, 0]
     params = MgrsParams(field, tuple(alpha), (1,) * n, field.neg(1), 2, 3)
     return _primal_or_dual(params, k)
 
@@ -239,21 +229,6 @@ def _punctured_record(k: int, roth_lempel: LinearCode, mds: bool) -> Constructio
                               grsid.is_grs(punctured.gen).grs)
 
 
-_LENGTH_FORMULAS = {
-    "odd-k3": lambda q, k: (q + 5) // 2,
-    "star": lambda q, k: (q + 3) // 2,
-    "plus": lambda q, k: (q + 2) // 2,
-    "plus-extended": lambda q, k: (q + 4) // 2,
-    "char2-k4": lambda q, k: (q + 6) // 2,
-    "ngrs": lambda q, k: q + 2,
-    "tgrs-punctured": lambda q, k: k + 3,
-}
-
-
-def expected_length(row: str, q: int, k: int) -> int:
-    return _LENGTH_FORMULAS[row](q, k)
-
-
 def table1(field: Field) -> Table1Report:
     """All applicable maximal-length rows for this field, one record per
     (row, k); rows whose k-range is empty are reported as notes."""
@@ -262,39 +237,28 @@ def table1(field: Field) -> Table1Report:
         raise ValueError("table needs q >= 8")
     records = []
     notes = []
-
-    def check_len(rec, row):
-        want = expected_length(row, q, rec.k)
-        if rec.n != want:
-            raise AssertionError(f"length mismatch for {row}: {rec.n} != {want}")
-        records.append(rec)
-
     # the k = (q-2)/2 and k = (q-1)/2 rows are the duals of the k = 4 and
     # k = 3 rows; for q >= 8 neither dual has its primal's k
     if field.p == 2:
         roth_lempel = ngrs_q2_3(field)
-        check_len(roth_lempel, "ngrs")
         primal = char2_k4(field, 4)
-        check_len(primal, "char2-k4")
+        records += [roth_lempel, primal]
         lo, hi = 5, (q - 4) // 2
         if lo > hi:
             notes.append(f"row 5<=k<=(q-4)/2 empty for q={q}")
         else:
-            for k in range(lo, hi + 1):
-                check_len(plus_modified(field, k, extended=True), "plus-extended")
-        check_len(_dual_record("modified-grs-dual", primal), "char2-k4")
-        for k in range(q // 2, q - 1):
-            check_len(_punctured_record(k, roth_lempel.code, roth_lempel.mds),
-                      "tgrs-punctured")
-        check_len(_dual_record("roth-lempel-dual", roth_lempel), "ngrs")
+            records += [plus_modified(field, k, extended=True) for k in range(lo, hi + 1)]
+        records.append(_dual_record("modified-grs-dual", primal))
+        records += [_punctured_record(k, roth_lempel.code, roth_lempel.mds)
+                    for k in range(q // 2, q - 1)]
+        records.append(_dual_record("roth-lempel-dual", roth_lempel))
     else:
         primal = odd_k3(field, 3)
-        check_len(primal, "odd-k3")
+        records.append(primal)
         lo, hi = 4, (q - 3) // 2
         if lo > hi:
             notes.append(f"row 4<=k<=(q-3)/2 empty for q={q}")
         else:
-            for k in range(lo, hi + 1):
-                check_len(star_modified(field, k), "star")
-        check_len(_dual_record("modified-grs-dual", primal), "odd-k3")
+            records += [star_modified(field, k) for k in range(lo, hi + 1)]
+        records.append(_dual_record("modified-grs-dual", primal))
     return Table1Report(q=q, records=records, notes=notes)

@@ -25,6 +25,8 @@ evaluation-point domain of extended codes.  The conventions are
 
 from __future__ import annotations
 
+import operator
+
 
 class _Infinity:
     __slots__ = ()
@@ -35,21 +37,6 @@ class _Infinity:
 
 #: The unique point at infinity.  Compare with ``x is INF``.
 INF = _Infinity()
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -146,7 +133,7 @@ class Field:
     __slots__ = ("p", "s", "q", "modulus", "primitive", "_mod_int")
 
     def __init__(self, p: int, s: int = 1, modulus=None):
-        if not is_prime(p):
+        if _prime_factors(p) != [p]:
             raise ValueError(f"p={p} is not prime")
         if s < 1:
             raise ValueError("extension degree must be >= 1")
@@ -347,18 +334,16 @@ def field_new(p: int, s: int = 1, modulus=None) -> Field:
 
 def field_from_order(q: int) -> Field:
     """The interned GF(q) of a prime power q under the default modulus,
-    the object field_new(p, s) returns."""
-    for p in range(2, q + 1):
-        if q % p == 0:
-            s = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                s += 1
-            if m != 1:
-                raise ValueError(f"q={q} is not a prime power")
-            return field_new(p, s)
-    raise ValueError(f"q={q} is not a prime power")
+    the object field_new(p, s) returns.  Factoring q takes O(sqrt(q))
+    steps."""
+    factors = _prime_factors(operator.index(q))
+    if len(factors) != 1:
+        raise ValueError(f"q={q} is not a prime power")
+    p, s, m = factors[0], 0, q
+    while m > 1:
+        m //= p
+        s += 1
+    return field_new(p, s)
 
 
 # ---------------- projective domain ----------------

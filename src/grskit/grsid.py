@@ -5,9 +5,10 @@ routine reconstructs evaluation points and column multipliers in O(nk)
 field operations and O(1) inversions (each loop inverts its denominators
 together), assuming the code is (extended) GRS.  It checks every
 denominator before dividing and every distinctness/nonzero condition
-after, turning any failure into a deterministic non-GRS verdict;
-checking each entry of B against its closed form under the recovered
-spec then decides GRS-ness exactly, for every 0 <= k <= n.
+after, turning any failure into a deterministic non-GRS verdict.  It
+then checks each entry of B against its closed form under the recovered
+spec, which decides GRS-ness exactly for every 0 <= k <= n: every GRS
+verdict carries a spec that regenerates the code.
 
 Only the recovery equations depend on k.  For k >= 3 and n - k >= 2
 they work in the chart alpha_1 = 0, alpha_2 = 1, alpha_3 = inf, with one
@@ -21,11 +22,12 @@ become finite; at length q+1 c is the last point.  Longer inputs fail
 the distinctness guard.  For k <= 1 and k >= n-1 a code is GRS iff it
 is MDS and n <= q+1, so the points are fixed and only v is read.
 
-is_grs eliminates its input once; the pivot columns separate a
+is_grs is one elimination plus recover: the pivot columns separate a
 rank-deficient input (an error) from a singular leading block (a
-non-GRS verdict).  Recovery and the check of B add O(nk) operations to
-that elimination.  cauchy_test is is_grs's verdict.  brute_force_recover
-is the exhaustive oracle for small codes of length at most q.
+non-GRS verdict), and recover decides [I | B] in O(nk) operations on
+top of that elimination.  cauchy_test is is_grs's verdict.
+brute_force_recover is the exhaustive oracle for small codes of length
+at most q.
 """
 
 from __future__ import annotations
@@ -113,9 +115,8 @@ def _validate_systematic(m: Matrix):
 def _recover_parts(m: Matrix):
     """Run the recovery equations on a systematic matrix.
 
-    Returns (alpha, v, raw_alpha) where raw_alpha is the evaluation vector
-    before the infinity point is transformed away (its first three entries
-    are always 0, 1, inf).  Raises _Guard on any failed check.
+    Returns (alpha, v) in the output chart; the recovery equations work
+    in the chart 0, 1, inf.  Raises _Guard on any failed check.
     """
     F = m.field
     k, n = m.rows, m.cols
@@ -195,8 +196,7 @@ def _recover_parts(m: Matrix):
             acc = F.add(acc, F.mul(v[i], B(i, j)))
         v.append(acc)
     _check_multipliers(v[1:])
-    raw = tuple(alpha[1:])
-    return _chart(F, raw, k, v[1:]) + (raw,)
+    return _chart(F, tuple(alpha[1:]), k, v[1:])
 
 
 def _chart(F: Field, raw, k: int, v):
@@ -251,11 +251,16 @@ def _check_multipliers(v):
 
 
 def recover(m: Matrix) -> GrsVerdict:
-    """Recover (alpha, v) from a systematic generator [I | B].
+    """Recover (alpha, v) from a systematic generator [I | B] and decide
+    whether it is GRS.
 
     Any failed denominator, distinctness or nonzero check yields a
-    GrsVerdict with grs=False and the first failing reason.  B itself is
-    not checked against the spec; is_grs does that.
+    GrsVerdict with grs=False and the first failing reason.  Otherwise
+    every entry of B is checked against its closed form under the
+    recovered spec, in O(nk) field operations, and a mismatch is
+    CODE_MISMATCH.  The recovered information points are finite, so that
+    closed form is exactly the systematic form of grs_generator(spec):
+    a GRS verdict's spec regenerates the code.
     """
     k, n = m.rows, m.cols
     _validate_systematic(m)
@@ -265,10 +270,13 @@ def recover(m: Matrix) -> GrsVerdict:
         elif k == 2:
             alpha, v = _recover_line(m)
         else:
-            alpha, v, _raw = _recover_parts(m)
+            alpha, v = _recover_parts(m)
     except _Guard as g:
         return GrsVerdict(False, reason=g.reason, stage=g.stage)
     spec = GrsSpec(m.field, alpha, v, k)
+    # k = n has no B
+    if k < n and not _spec_gives_block(m, spec):
+        return GrsVerdict(False, reason=CODE_MISMATCH)
     return GrsVerdict(True, spec=spec)
 
 
@@ -315,23 +323,15 @@ def is_grs(g: Matrix) -> GrsVerdict:
 
     Reduces g to [I | B] in one elimination (its pivots tell a
     rank-deficient g, which is an error, from a singular leading block,
-    which is a verdict), runs recovery and checks every entry of
-    B against its closed form under the recovered spec, in O(nk) field
-    operations.  The recovered information points are finite, so that
-    closed form is exactly the systematic form of grs_generator(spec).
-    The verdict is the spec on success, else the first failing reason.
+    which is a verdict) and returns recover's verdict on [I | B].
     """
-    k, n = g.rows, g.cols
+    k = g.rows
     m, pivots = linalg.rref(g)
     if len(pivots) < k:
         raise ValueError("rank-deficient generator matrix")
     if pivots != tuple(range(k)):
         return GrsVerdict(False, reason=ECHELON_FAIL)
-    verdict = recover(m)
-    # k = n has no B
-    if verdict.grs and k < n and not _spec_gives_block(m, verdict.spec):
-        return GrsVerdict(False, reason=CODE_MISMATCH)
-    return verdict
+    return recover(m)
 
 
 def cauchy_test(g: Matrix) -> bool:
@@ -481,15 +481,16 @@ def random_grs_spec(field: Field, n: int, k: int, rng: random.Random,
 
 
 def bench_recover(field: Field, k: int, n_list, trials: int, seed: int = 0):
-    """Time and count the recovery step on fresh random GRS instances.
+    """Time and count recover on fresh random GRS instances.
 
     Echelonization is done outside the instrumented field, so the counts
-    cover exactly the recovery equations.  Every call of a public field
-    operation (add, sub, neg, mul, inv, pow) counts once.  On prime fields
-    inv and pow compute directly, so each is one operation.  On extension
-    fields pow multiplies through the public mul, and inv is pow(a, q-2),
-    so their inner multiplications are counted too.  Returns one row per n
-    with median wall time and median operation count.
+    cover exactly recover: the recovery equations and the check of B.
+    Every call of a public field operation (add, sub, neg, mul, inv, pow)
+    counts once.  On prime fields inv and pow compute directly, so each is
+    one operation.  On extension fields pow multiplies through the public
+    mul, and inv is pow(a, q-2), so their inner multiplications are
+    counted too.  Returns one row per n with median wall time and median
+    operation count.
     """
     rng = random.Random(seed)
     rows = []

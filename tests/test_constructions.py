@@ -4,8 +4,7 @@ from grskit.gf import Field, field_from_order
 from grskit.codes import LinearCode, min_distance, is_mds, dual, code_eq
 from grskit.families import MgrsParams, mgrs_generator
 from grskit.constructions import (star_modified, odd_k3, plus_modified,
-                                  char2_k4, ngrs_q2_3, tgrs_punctured, table1,
-                                  expected_length)
+                                  char2_k4, ngrs_q2_3, tgrs_punctured, table1)
 from grskit.families import RothLempelParams, roth_lempel_generator, roth_lempel_is_mds
 from grskit.grsid import cauchy_test, is_grs
 
@@ -289,12 +288,10 @@ def test_table1_q9_notes():
 
 def test_q32_spot_records():
     f32 = Field(2, 5)
-    for rec in (ngrs_q2_3(f32), char2_k4(f32, 4),
-                plus_modified(f32, 6, extended=True), tgrs_punctured(f32, 16)):
-        assert rec.n == expected_length(
-            {"roth-lempel": "ngrs", "modified-grs": "char2-k4",
-             "modified-grs-plus-extended": "plus-extended",
-             "twisted-grs": "tgrs-punctured"}[rec.family], 32, rec.k)
+    # lengths q+2, (q+6)/2, (q+4)/2 and k+3
+    for rec, n in ((ngrs_q2_3(f32), 34), (char2_k4(f32, 4), 19),
+                   (plus_modified(f32, 6, extended=True), 18), (tgrs_punctured(f32, 16), 19)):
+        assert rec.n == n, rec.summary()
         assert_nongrs_record(rec)
 
 

@@ -76,6 +76,8 @@ def test_construction_is_deterministic():
 def test_factories_intern_fields():
     assert field_new(2, 4) is field_from_order(16)
     assert field_new(11) is field_from_order(11)
+    # q is factored in O(sqrt(q)) steps, not scanned for its prime
+    assert field_from_order(1_000_000_007) is field_new(1_000_000_007)
     # a list and a tuple modulus name one field, and so does the default
     # modulus spelt out
     gf8 = field_new(2, 3, [1, 1, 0, 1])

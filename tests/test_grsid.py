@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 
@@ -55,15 +56,6 @@ def test_trans_no_shift_element_available():
 
 
 # ---------------- recover ----------------
-
-def test_recover_raw_chart_starts_at_0_1_inf(f11):
-    rng = random.Random(22)
-    spec = random_grs_spec(f11, 9, 4, rng)
-    m, ok = grsid.linalg.echelonize(grs_generator(spec).gen)
-    assert ok
-    _, _, raw = grsid._recover_parts(m)
-    assert raw[0] == 0 and raw[1] == 1 and raw[2] is INF
-
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_recover_single_instance(k):
@@ -140,17 +132,18 @@ def test_recover_grs_inputs():
 # ---------------- is_grs ----------------
 
 def is_grs_by_regeneration(g):
-    """Reference is_grs: the same elimination and guarded recovery, then
-    the candidate code regenerated from the spec and its reduced echelon
-    form compared bit for bit with the input's, where is_grs reads each
-    entry of B from its closed form."""
+    """Reference is_grs: the same elimination and guarded recovery with
+    recover's check of B switched off, then the candidate code regenerated
+    from the spec and its reduced echelon form compared bit for bit with
+    the input's, where recover reads each entry of B from its closed form."""
     k = g.rows
     m, pivots = rref(g)
     if len(pivots) < k:
         raise ValueError("rank-deficient generator matrix")
     if pivots != tuple(range(k)):
         return GrsVerdict(False, reason=ECHELON_FAIL)
-    verdict = recover(m)
+    with mock.patch.object(grsid, "_spec_gives_block", lambda m, spec: True):
+        verdict = recover(m)
     if not verdict.grs:
         return verdict
     m1, ok1 = echelonize(grs_generator(verdict.spec).gen)
@@ -175,6 +168,8 @@ def test_worked_example_codes_are_non_grs(f11, f8):
     m1 = mgrs_generator(MgrsParams(f11, (2, 4, 8, 5, 10, 1, 0), (1,) * 8,
                                    f11.neg(1), 2, 3))
     assert not is_grs(m1.gen).grs
+    # the README's [8,3] code: recover on its systematic form checks B too
+    assert recover(rref(m1.gen)[0]).format() == "verdict=non-grs reason=code-mismatch"
     w = f8.primitive
     m2 = mgrs_generator(MgrsParams(f8, (f8.pow(w, 5), f8.pow(w, 3),
                                         f8.pow(w, 2), w, 0, 1),
@@ -268,6 +263,9 @@ def test_is_grs_every_shape_sweep():
                 for code, want in _sweep_codes(f, n, k, rng):
                     verdict = is_grs(code.gen)
                     assert verdict == is_grs_by_regeneration(code.gen), (q, n, k)
+                    m, pivots = rref(code.gen)
+                    if pivots == tuple(range(k)):
+                        assert recover(m) == verdict, (q, n, k)
                     if want is not None:
                         assert verdict.grs, (q, n, k)
                     if verdict.grs:
@@ -299,6 +297,7 @@ def test_is_grs_every_one_entry_corruption():
                         bad = Matrix(f, rows)
                         verdict = is_grs(bad)
                         assert verdict == is_grs_by_regeneration(bad), (q, n, k, i, j, e)
+                        assert recover(bad) == verdict, (q, n, k, i, j, e)
                         # k, n - k >= 3 and every 2x2 minor of the entrywise
                         # inverse is nonzero, so a changed entry is zero or
                         # makes a 3x3 minor nonzero
