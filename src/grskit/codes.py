@@ -113,16 +113,20 @@ def _eval_columns(F: Field, alpha, k, v=None) -> list:
     return cols
 
 
-def _cols_to_code(F: Field, cols, k, check=True) -> LinearCode:
+def _cols_to_code(F: Field, cols, k) -> LinearCode:
+    # Rank is checked iff the generator is square: with n > k the columns
+    # of every caller hold k distinct points, or k-1 points and inf, or span
+    # the twisted-GRS rows (a message vanishing on the n-1 points has a
+    # nonzero hook coefficient, which the last column reads), so rank is k.
     rows = [[c[i] for c in cols] for i in range(k)]
-    return LinearCode(F, Matrix(F, rows, cols=len(cols), check=False), check=check)
+    return LinearCode(F, Matrix(F, rows, cols=len(cols), check=False), check=len(cols) == k)
 
 
 def grs_generator(spec: GrsSpec) -> LinearCode:
     """Canonical k × n generator: row i is v_j * alpha_j^i, and the column
     at infinity is v_j * e_{k-1} (the top-coefficient evaluation)."""
     F = spec.field
-    return _cols_to_code(F, _eval_columns(F, spec.alpha, spec.k, spec.v), spec.k, check=False)
+    return _cols_to_code(F, _eval_columns(F, spec.alpha, spec.k, spec.v), spec.k)
 
 
 def grs_dual_multipliers(spec: GrsSpec) -> tuple:

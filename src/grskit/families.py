@@ -15,11 +15,9 @@ the values it holds (_SUBSET_CAP).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .gf import Field, INF, proj_inv
-from . import linalg
 from .linalg import Matrix
 from .codes import LinearCode, GrsSpec, grs_dual_multipliers, _eval_columns, _cols_to_code
 
@@ -86,6 +84,8 @@ class EmgrsParams:
     def __post_init__(self):
         object.__setattr__(self, "alpha", tuple(self.alpha))
         object.__setattr__(self, "v", tuple(self.v))
+        if self.k > self.n - 1:
+            raise ValueError("need k <= n-1")
         self.base()  # validates the shared fields
         self.field.check(self.v_ext)
         if self.v_ext == 0:
@@ -228,11 +228,12 @@ def tgrs_generator(p: TgrsParams) -> LinearCode:
 
 def tgrs_dual_parity(p: TgrsParams) -> Matrix:
     """Closed-form parity-check matrix of the twisted code, built from the
-    standard dual multipliers of the evaluation points.
+    standard dual multipliers u_i = 1/prod_(j != i)(alpha_i - alpha_j) of
+    the evaluation points.
 
-    If the closed form's denominator vanishes, falls back to the kernel of
-    the generator (with a warning); the dual code always exists even when
-    the closed form does not.
+    Its denominators never vanish: sum u_i * alpha_i^(n-1) = 1, so the
+    top hook divides by lam, and sum u_i / alpha_i = -1/prod(-alpha_j),
+    nonzero for the zero hook's nonzero points.
     """
     F = p.field
     alpha = p.alpha
@@ -243,49 +244,34 @@ def tgrs_dual_parity(p: TgrsParams) -> Matrix:
         raise ValueError("parity-check form needs k <= n-1")
     u = grs_dual_multipliers(GrsSpec(F, alpha, (1,) * n, k))
 
-    s_top = 0
-    for ui, ai in zip(u, alpha):
-        s_top = F.add(s_top, F.mul(ui, F.pow(ai, n - 1)))
-
     if p.hook == TWIST_ZERO:
         if any(a == 0 for a in alpha):
             raise ValueError("zero-hook closed form needs nonzero points")
         s_inv = 0
         for ui, ai in zip(u, alpha):
             s_inv = F.add(s_inv, F.mul(ui, F.inv(ai)))
-        if s_inv == 0:
-            return _kernel_fallback(p)
         w = [F.mul(ui, F.inv(F.mul(ai, vi)))
              for ui, ai, vi in zip(u, alpha, p.v)]
         w_last = F.mul(F.neg(s_inv), F.inv(p.v[n]))
-        eta = F.mul(p.lam, F.mul(s_top, F.inv(s_inv)))
+        eta = F.mul(p.lam, F.inv(s_inv))
         last = [0] * rows
         last[0] = 1
         last[rows - 1] = eta
     else:
-        denom = F.mul(p.lam, s_top)
-        if denom == 0:
-            return _kernel_fallback(p)
         s_mix = 0
         for ui, ai in zip(u, alpha):
             term = F.add(F.pow(ai, n - 1), F.mul(p.lam, F.pow(ai, n)))
             s_mix = F.add(s_mix, F.mul(ui, term))
         w = [F.mul(ui, F.inv(vi)) for ui, vi in zip(u, p.v)]
-        w_last = F.mul(F.neg(denom), F.inv(p.v[n]))
-        delta = F.mul(s_mix, F.inv(denom))
+        w_last = F.mul(F.neg(p.lam), F.inv(p.v[n]))
+        delta = F.mul(s_mix, F.inv(p.lam))
         last = [0] * rows
         last[rows - 2] = 1
         last[rows - 1] = delta
 
     cols = _eval_columns(F, alpha, rows, w)
     cols.append([F.mul(w_last, e) for e in last])
-    return _cols_to_code(F, cols, rows, check=False).gen
-
-
-def _kernel_fallback(p: TgrsParams) -> Matrix:
-    warnings.warn("closed-form parity check degenerate; returning a kernel basis",
-                  RuntimeWarning, stacklevel=3)
-    return linalg.right_kernel(tgrs_generator(p).gen)
+    return _cols_to_code(F, cols, rows).gen
 
 
 def roth_lempel_generator(p: RothLempelParams) -> LinearCode:

@@ -39,10 +39,17 @@ class _Infinity:
 INF = _Infinity()
 
 
+_FACTOR_CAP = 1 << 20
+
+
 def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n; trial divisors stop at _FACTOR_CAP."""
     out = []
     d = 2
     while d * d <= n:
+        if d > _FACTOR_CAP:
+            raise ValueError(f"factoring budget exceeded: {n} has no prime factor "
+                             f"up to 2^20 and is at least 2^40")
         if n % d == 0:
             out.append(d)
             while n % d == 0:
@@ -334,8 +341,9 @@ def field_new(p: int, s: int = 1, modulus=None) -> Field:
 
 def field_from_order(q: int) -> Field:
     """The interned GF(q) of a prime power q under the default modulus,
-    the object field_new(p, s) returns.  Factoring q takes O(sqrt(q))
-    steps."""
+    the object field_new(p, s) returns.  Trial division stops at 2^20, so
+    a prime p > 2^20 is accepted only as q = p < 2^40, and a larger q
+    without a factor up to 2^20 raises ValueError."""
     factors = _prime_factors(operator.index(q))
     if len(factors) != 1:
         raise ValueError(f"q={q} is not a prime power")

@@ -3,6 +3,7 @@ import hashlib
 import importlib.resources
 import io
 import re
+import time
 
 import pytest
 
@@ -321,6 +322,18 @@ def test_zero_field_flags_are_usage_errors(capsys):
     assert (rc, out) == (2, "") and err == "error: extension degree must be >= 1\n"
     rc, out, err = run(capsys, "field", "--q", "0", "--p", "3")
     assert (rc, out) == (2, "") and err == "error: --q excludes --p, --s and --mod\n"
+
+
+def test_refusals_name_their_bound(capsys):
+    # an [n, n] extended modified GRS code is past k <= n-1, and a prime
+    # past 2^40 is past the factoring budget; both are usage errors
+    rc, out, err = run(capsys, "construct", "--q", "11", "--family", "emgrs",
+                       "--n", "4", "--k", "4", "--eta", "1", "--t", "1")
+    assert (rc, out, err) == (2, "", "error: need k <= n-1\n")
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "field", "--q", "100000000000031")
+    assert time.perf_counter() - t0 < 1
+    assert (rc, out) == (2, "") and err.startswith("error: factoring budget exceeded: ")
 
 
 def _cli_session(tmp_path, capsys):

@@ -195,6 +195,18 @@ def test_records_carry_their_certificate(monkeypatch):
     assert not plus_modified(Field(2, 4), 5, extended=False).mds
 
 
+@pytest.mark.parametrize("q", [8, 9, 16, 25])
+def test_table1_runs_no_rank(monkeypatch, q):
+    # every generator the table builds has n > k, so its full rank holds by
+    # construction and no builder eliminates to check it
+    from grskit import linalg
+    calls = []
+    real = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda m: calls.append(m) or real(m))
+    assert table1(field_from_order(q)).records
+    assert calls == []
+
+
 @pytest.mark.parametrize("q", [8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32])
 def test_table1_inherited_grs_verdicts_match_is_grs(q):
     # dual and punctured rows take their GRS verdict from the code they are

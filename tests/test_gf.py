@@ -1,4 +1,5 @@
 import importlib.util
+import time
 from pathlib import Path
 
 import pytest
@@ -76,7 +77,7 @@ def test_construction_is_deterministic():
 def test_factories_intern_fields():
     assert field_new(2, 4) is field_from_order(16)
     assert field_new(11) is field_from_order(11)
-    # q is factored in O(sqrt(q)) steps, not scanned for its prime
+    # q is factored by trial division, not scanned for its prime
     assert field_from_order(1_000_000_007) is field_new(1_000_000_007)
     # a list and a tuple modulus name one field, and so does the default
     # modulus spelt out
@@ -87,6 +88,17 @@ def test_factories_intern_fields():
     # Field(...) builds a fresh, equal instance
     fresh = Field(2, 4)
     assert fresh is not field_new(2, 4) and fresh == field_new(2, 4)
+
+
+def test_factoring_budget():
+    # trial divisors stop at 2^20: a prime below 2^40 still builds, and a
+    # larger q with no factor that small is refused at once
+    assert field_from_order(10**12 + 39).q == 10**12 + 39
+    for build in (field_from_order, Field):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"factoring budget exceeded: .* up to 2\^20"):
+            build(100000000000031)
+        assert time.perf_counter() - t0 < 1
 
 
 def test_factories_raise_on_every_bad_call():
