@@ -66,6 +66,8 @@ def _build_family(field: Field, args) -> LinearCode:
     q = field.q
     if n is None or k is None:
         raise UsageError("--n and --k are required")
+    if n < 0 or k < 0:
+        raise UsageError("--n and --k must be >= 0")
     ones = lambda m: (1,) * m
     if fam == "grs":
         if n > q:

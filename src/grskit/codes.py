@@ -31,16 +31,17 @@ class FormatError(ValueError):
 
 
 class LinearCode:
-    """An [n, k] linear code given by a rank-k generator matrix."""
+    """An [n, k] linear code given by a rank-k generator matrix: full rank
+    is the type's invariant, and the constructor refuses any other."""
 
     __slots__ = ("field", "gen")
 
-    def __init__(self, field: Field, gen: Matrix, check: bool = True):
+    def __init__(self, field: Field, gen: Matrix):
         if gen.field != field:
             raise ValueError("generator field mismatch")
         if gen.rows > gen.cols:
             raise ValueError("k > n")
-        if check and linalg.rank(gen) != gen.rows:
+        if linalg.rank(gen) != gen.rows:
             raise ValueError("generator matrix is not full rank")
         self.field = field
         self.gen = gen
@@ -90,10 +91,6 @@ class GrsSpec:
     def n(self) -> int:
         return len(self.alpha)
 
-    @property
-    def extended(self) -> bool:
-        return any(a is INF for a in self.alpha)
-
 
 def _eval_columns(F: Field, alpha, k, v=None) -> list:
     """The evaluation map: column j is v_j * (1, a, ..., a^(k-1)) for a
@@ -113,13 +110,22 @@ def _eval_columns(F: Field, alpha, k, v=None) -> list:
     return cols
 
 
+def _full_rank_code(field: Field, gen: Matrix) -> LinearCode:
+    """A LinearCode on a generator its caller proves full rank: no elimination."""
+    code = object.__new__(LinearCode)
+    code.field, code.gen = field, gen
+    return code
+
+
 def _cols_to_code(F: Field, cols, k) -> LinearCode:
-    # Rank is checked iff the generator is square: with n > k the columns
-    # of every caller hold k distinct points, or k-1 points and inf, or span
-    # the twisted-GRS rows (a message vanishing on the n-1 points has a
-    # nonzero hook coefficient, which the last column reads), so rank is k.
+    # Rank is checked iff the generator is square (n < k is refused as
+    # k > n): with n > k the columns of every caller hold k distinct
+    # points, or k-1 points and inf, or span the twisted-GRS rows (a message
+    # vanishing on the n-1 points has a nonzero hook coefficient, which the
+    # last column reads), so rank is k.
     rows = [[c[i] for c in cols] for i in range(k)]
-    return LinearCode(F, Matrix(F, rows, cols=len(cols), check=False), check=len(cols) == k)
+    gen = Matrix(F, rows, cols=len(cols), check=False)
+    return LinearCode(F, gen) if len(cols) <= k else _full_rank_code(F, gen)
 
 
 def grs_generator(spec: GrsSpec) -> LinearCode:
@@ -145,8 +151,8 @@ def grs_dual_multipliers(spec: GrsSpec) -> tuple:
 
 
 def dual(code: LinearCode) -> LinearCode:
-    kern = linalg.right_kernel(code.gen)
-    return LinearCode(code.field, kern, check=False)
+    # a kernel basis is independent, and has n - k rows for a rank-k code
+    return _full_rank_code(code.field, linalg.right_kernel(code.gen))
 
 
 def _check_positions(code: LinearCode, positions):
@@ -169,7 +175,7 @@ def puncture(code: LinearCode, positions) -> LinearCode:
     if not pivots:
         raise ValueError("punctured code is empty")
     gen = Matrix(code.field, red.data[:len(pivots)], cols=len(keep), check=False)
-    return LinearCode(code.field, gen, check=False)
+    return _full_rank_code(code.field, gen)
 
 
 def shorten(code: LinearCode, positions) -> LinearCode:
@@ -186,7 +192,7 @@ def shorten(code: LinearCode, positions) -> LinearCode:
     gen = linalg.submatrix(sub_gen, range(sub_gen.rows), keep)
     # independent kernel rows times a full-rank generator, all zero on the
     # deleted coordinates, so the kept columns have full rank
-    return LinearCode(F, gen, check=False)
+    return _full_rank_code(F, gen)
 
 
 _MIN_DISTANCE_CAP = 1 << 24
@@ -198,11 +204,10 @@ def min_distance(code: LinearCode) -> int:
     Reads the weight distribution of the smaller of the code and its
     dual (MacWilliams–Sloane ch. 5): the [n, k] code itself when
     k <= n - k, else the [n, n-k] dual, mapped back by the MacWilliams
-    identity.  A rank-deficient generator (built with check=False) gives
-    0: the code side counts a nonzero message of weight 0, and the dual
-    side has more than n - k rows.  The walk costs about n·q^(k'-1) field
-    operations on the side of dimension k' = min(k, n-k); past
-    _MIN_DISTANCE_CAP it raises ValueError before any walking.
+    identity; a LinearCode has full rank, so its dual has exactly n - k
+    rows.  The walk costs about n·q^(k'-1) field operations on the side of
+    dimension k' = min(k, n-k); past _MIN_DISTANCE_CAP it raises
+    ValueError before any walking.
     """
     F, n, k = code.field, code.n, code.k
     q, kw = F.q, min(k, n - k)
@@ -212,13 +217,8 @@ def min_distance(code: LinearCode) -> int:
                          f"> {_MIN_DISTANCE_CAP} for the [{n},{kw}] {side}")
     if k <= n - k:
         dist = _weight_distribution(F, code.gen.data, n)
-        if dist[0] > 1:
-            return 0
     else:
-        perp = dual(code)
-        if perp.k != n - k:
-            return 0
-        dist = _macwilliams(_weight_distribution(F, perp.gen.data, n), q)
+        dist = _macwilliams(_weight_distribution(F, dual(code).gen.data, n), q)
     return next((w for w in range(1, n + 1) if dist[w]), n + 1)
 
 
@@ -291,11 +291,11 @@ def is_mds(code: LinearCode) -> bool:
     i.e. every k × k minor is nonzero (equivalently d = n - k + 1).
 
     The code is MDS iff its dual is, so when 2k > n the [n, n-k] dual is
-    walked instead; its generator has n - rank rows, so a rank-deficient
-    input (every k × k minor zero) is caught there by the row count.  The
-    walk ends in C(n, k) = C(n, n-k) leaves; more than _MDS_CAP raises
-    ValueError before any walking.  A zero column (k >= 1) lies in a
-    dependent k-subset, so it answers False before that budget, in O(nk).
+    walked instead; a LinearCode has full rank, so that dual has exactly
+    n - k rows.  The walk ends in C(n, k) = C(n, n-k) leaves; more than
+    _MDS_CAP raises ValueError before any walking.  A zero column (k >= 1)
+    lies in a dependent k-subset, so it answers False before that budget,
+    in O(nk).
     """
     n, k = code.n, code.k
     if k and not all(any(col) for col in zip(*code.gen.data)):
@@ -305,8 +305,6 @@ def is_mds(code: LinearCode) -> bool:
                          f"column subsets for n={n}, k={k}")
     if 2 * k > n:
         code = dual(code)
-        if code.k != n - k:
-            return False
     return _columns_independent(code.field, code.gen.transpose().data, code.k)
 
 

@@ -32,16 +32,16 @@ from . import grsid
 @dataclass(frozen=True)
 class ConstructionRecord:
     """One constructed code with its parameters and its MDS and GRS
-    verdicts."""
+    verdicts; q, k and n are read from the code."""
 
     family: str
-    q: int
-    k: int
-    n: int
     params: dict
     code: LinearCode
     mds: bool
     grs_verdict: bool
+    q = property(lambda self: self.code.field.q)
+    k = property(lambda self: self.code.k)
+    n = property(lambda self: self.code.n)
 
     def summary(self) -> str:
         return (f"q={self.q} k={self.k} n={self.n} family={self.family} "
@@ -76,8 +76,7 @@ def _fmt_seq(xs) -> str:
 def _record(family: str, params: dict, code: LinearCode, mds: bool) -> ConstructionRecord:
     # a row built from code itself: mds is its certificate, and GRS-ness
     # is decided on code
-    return ConstructionRecord(family, code.field.q, code.k, code.n, params, code, mds,
-                              grsid.is_grs(code.gen).grs)
+    return ConstructionRecord(family, params, code, mds, grsid.is_grs(code.gen).grs)
 
 
 def _mgrs_record(family: str, p: MgrsParams) -> ConstructionRecord:
@@ -103,8 +102,7 @@ def _emgrs_record(family: str, p: EmgrsParams) -> ConstructionRecord:
 def _dual_record(family: str, primal: ConstructionRecord) -> ConstructionRecord:
     code = dual(primal.code)
     params = dict(primal.params, derived=f"dual-of-{primal.family}-k{primal.k}")
-    return ConstructionRecord(family, primal.q, code.k, code.n, params, code,
-                              primal.mds, primal.grs_verdict)
+    return ConstructionRecord(family, params, code, primal.mds, primal.grs_verdict)
 
 
 def _primal_or_dual(p: MgrsParams, k: int) -> ConstructionRecord:
@@ -225,7 +223,7 @@ def _punctured_record(k: int, roth_lempel: LinearCode, mds: bool) -> Constructio
     punctured = puncture(roth_lempel, positions)
     code = dual(punctured)
     params = {"derived": f"dual-of-punctured-[{q + 2},3]", "punctured": _fmt_seq(positions)}
-    return ConstructionRecord("twisted-grs", q, code.k, code.n, params, code, mds,
+    return ConstructionRecord("twisted-grs", params, code, mds,
                               grsid.is_grs(punctured.gen).grs)
 
 

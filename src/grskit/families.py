@@ -294,6 +294,8 @@ def col_twisted_generator(field: Field, a, b: int, c: int, lam: int, k: int,
     a = tuple(a)
     _check_distinct_finite(field, a + (b, c))
     field.check(lam)
+    if k < 0:
+        raise ValueError("need k >= 0")
     if k > len(a) + 1:
         raise ValueError("k > n")
     F = field

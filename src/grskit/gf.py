@@ -119,8 +119,7 @@ def _is_irreducible(m, p):
         return False
     for d in range(1, deg // 2 + 1):
         for low in range(p ** d):
-            cand = _poly_from_enc(low, p, d)
-            cand = tuple(cand) + (0,) * (d - len(cand)) + (1,)
+            cand = _poly_from_enc(low, p, d) + (1,)
             if not _poly_mod(m, cand, p):
                 return False
     return True
@@ -165,8 +164,7 @@ class Field:
     def _find_modulus(self):
         p, s = self.p, self.s
         for low in range(p ** s):
-            cand = _poly_from_enc(low, p, s)
-            cand = tuple(cand) + (0,) * (s - len(cand)) + (1,)
+            cand = _poly_from_enc(low, p, s) + (1,)
             if _is_irreducible(cand, p):
                 return cand
         raise AssertionError("no irreducible polynomial found")  # unreachable

@@ -248,8 +248,7 @@ def test_criterion_9_brute_force_agreement():
                 m = Matrix(f, [[rng.randrange(7) for _ in range(n)]
                                for _ in range(3)])
                 _, ok = echelonize(m)
-                if ok and is_mds(LinearCode(f, m, check=False)):
-                    code = LinearCode(f, m)
+                if ok and is_mds(code := LinearCode(f, m)):
                     break
         found = brute_force_recover(code)
         verdict = is_grs(code.gen)

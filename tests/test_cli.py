@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import importlib.resources
 import io
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -334,6 +337,36 @@ def test_refusals_name_their_bound(capsys):
     rc, out, err = run(capsys, "field", "--q", "100000000000031")
     assert time.perf_counter() - t0 < 1
     assert (rc, out) == (2, "") and err.startswith("error: factoring budget exceeded: ")
+
+
+def test_negative_length_or_dimension_is_usage_error(capsys):
+    # range() of a negative bound is empty, so no builder would see it:
+    # these once built a 0x0, a length-1 and a 0x5 generator
+    for argv in (("--q", "7", "--family", "grs", "--n", "-1", "--k", "0"),
+                 ("--q", "13", "--family", "col-twisted", "--n", "-1", "--k", "0",
+                  "--lambda", "2"),
+                 ("--q", "13", "--family", "col-twisted", "--n", "5", "--k", "-1",
+                  "--lambda", "2")):
+        rc, out, err = run(capsys, "construct", *argv)
+        assert (rc, out, err) == (2, "", "error: --n and --k must be >= 0\n"), argv
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # python -m grskit.cli runs main_entry, the installed grskit script:
+    # each exit code must reach the process status, not only main's return
+    bad = tmp_path / "bad.txt"
+    bad.write_text("field p=11 s=1 mod=0,1\nmatrix 2 2\n1 2\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for argv, rc, out, err in (
+            (["field", "--q", "8"], 0, "p=2 s=3 q=8 mod=1,1,0,1 primitive=2\n", ""),
+            (["field", "--q", "12"], 2, "", "error: q=12 is not a prime power\n"),
+            (["check", "--kind", "mds", "--in", str(bad)], 3, "",
+             "error: malformed input: expected 2 matrix rows, found 1\n")):
+        proc = subprocess.run([sys.executable, "-m", "grskit.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err), argv
 
 
 def _cli_session(tmp_path, capsys):

@@ -232,10 +232,21 @@ def _draw_generator(f, n, k, kind, rng):
             return m
 
 
+def _refused_if_deficient(f, m, kind):
+    """Whether m is rank deficient, having checked that LinearCode then
+    refuses it; every "deficient" draw is."""
+    if rank(m) == m.rows:
+        assert kind != "deficient", m.data
+        return False
+    with pytest.raises(ValueError, match="generator matrix is not full rank"):
+        LinearCode(f, m)
+    return True
+
+
 def test_is_mds_matches_minor_enumeration():
     # every shape with n <= 8 and 1 <= k <= n (so k = n and 2k = n too),
     # four kinds each: GRS with and without infinity, GRS with one entry
-    # changed, random full rank, and rank-deficient built with check=False
+    # changed, random full rank, and rank-deficient, which LinearCode refuses
     rng = random.Random(8)
     kinds = ("grs", "grs-changed", "random", "deficient")
     draws = mds = 0
@@ -246,23 +257,28 @@ def test_is_mds_matches_minor_enumeration():
                 for kind in kinds:
                     for _ in range(2 if kind.startswith("grs") else 1):
                         m = _draw_generator(f, n, k, kind, rng)
-                        c = LinearCode(f, m, check=False)
+                        draws += 1
+                        if _refused_if_deficient(f, m, kind):
+                            continue
+                        c = LinearCode(f, m)
                         want = mds_by_minors(c)
                         assert is_mds(c) == want, (q, m.data)
-                        draws += 1
                         mds += want
     assert draws >= 1500
     assert 0.3 * draws < mds < 0.9 * draws
 
 
 def test_is_mds_rank_deficient(f11):
-    # 2k > n walks the dual, 2k <= n walks the code: both must say False
+    # a rank-deficient generator never becomes a LinearCode, so is_mds
+    # never sees one: with 2k > n and with 2k <= n
     m = Matrix(f11, [[1, 2, 3, 4], [0, 1, 5, 7], [1, 3, 8, 0]])
     assert rank(m) == 2
-    assert not is_mds(LinearCode(f11, m, check=False))
+    with pytest.raises(ValueError, match="generator matrix is not full rank"):
+        LinearCode(f11, m)
     m = Matrix(f11, [[1, 2, 3, 4, 5, 6], [2, 4, 6, 8, 10, 1]])
     assert rank(m) == 1
-    assert not is_mds(LinearCode(f11, m, check=False))
+    with pytest.raises(ValueError, match="generator matrix is not full rank"):
+        LinearCode(f11, m)
 
 
 def test_is_mds_budget():
@@ -284,16 +300,14 @@ def test_is_mds_op_ceiling_extended_grs():
     for k, ceiling in ((14, 13_356), (8, 710_156)):
         cf = CountingField(f)
         g = grs_generator(GrsSpec(f, tuple(range(16)) + (INF,), (1,) * 17, k)).gen
-        code = LinearCode(cf, Matrix(cf, g.data, check=False), check=False)
+        code = LinearCode(cf, Matrix(cf, g.data, check=False))
+        cf.ops = 0  # count is_mds only, not the constructor's rank check
         assert is_mds(code)
         assert cf.ops <= ceiling, (k, cf.ops)
 
 
 def min_distance_by_messages(code):
-    """Oracle: the least weight of m·G over all q^k - 1 nonzero messages m.
-
-    No exit at weight 1: on a rank-deficient generator a later message
-    may still reach weight 0."""
+    """Oracle: the least weight of m·G over all q^k - 1 nonzero messages m."""
     F = code.field
     q, k, n = F.q, code.k, code.n
     rows = code.gen.data
@@ -342,7 +356,7 @@ def test_min_distance_matches_message_enumeration():
     # every shape with n <= 9 and 0 <= k <= n whose q^k messages the oracle
     # can afford, four kinds each: GRS with and without infinity (length
     # q+1 always with it), GRS with one entry changed, uniform with 20%
-    # zeros, and rank-deficient built with check=False
+    # zeros, and rank-deficient, which LinearCode refuses
     rng = random.Random(10)
     kinds = ("grs", "grs-changed", "sparse", "deficient")
     branches = Counter()
@@ -354,10 +368,12 @@ def test_min_distance_matches_message_enumeration():
                     break
                 for kind in kinds if k else ("sparse",):
                     m = _draw_generator(f, n, k, kind, rng)
-                    c = LinearCode(f, m, check=False)
-                    assert min_distance(c) == min_distance_by_messages(c), (q, m.data)
                     side = "code" if 2 * k <= n else "dual"
                     branches[side, rank(m) == k] += 1
+                    if _refused_if_deficient(f, m, kind):
+                        continue
+                    c = LinearCode(f, m)
+                    assert min_distance(c) == min_distance_by_messages(c), (q, m.data)
     # (side walked, full rank): 630, 264, 180 and 132 of 1206 draws
     assert branches[("code", True)] >= 600 and branches[("dual", True)] >= 250, branches
     assert branches[("code", False)] >= 150 and branches[("dual", False)] >= 100, branches
@@ -395,7 +411,8 @@ def test_min_distance_op_ceiling(f11):
     for n, k, d, ceiling in ((10, 3, 8, 432), (8, 6, 3, 540)):
         cf = CountingField(f11)
         g = grs_generator(GrsSpec(f11, tuple(range(n)), (1,) * n, k)).gen
-        code = LinearCode(cf, Matrix(cf, g.data, check=False), check=False)
+        code = LinearCode(cf, Matrix(cf, g.data, check=False))
+        cf.ops = 0  # count min_distance only, not the constructor's rank check
         assert min_distance(code) == d
         assert cf.ops <= ceiling, (n, k, cf.ops)
 

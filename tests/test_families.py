@@ -369,6 +369,9 @@ def test_col_twisted_extended_shape(f11):
     ct = col_twisted_generator(f11, (2, 3, 4), 0, 1, 5, 3, extended=True)
     assert (ct.n, ct.k) == (5, 3)
     assert ct.gen.column(4) == (0, 0, 1)
+    # a negative k would build a 0-row generator; the bound is k >= 0
+    with pytest.raises(ValueError, match=r"^need k >= 0$"):
+        col_twisted_generator(f11, (2, 3, 4), 0, 1, 5, -1)
 
 
 def test_predicates_match_subset_oracle():
@@ -438,16 +441,13 @@ def test_builders_match_entry_formulas():
                 return ev(alpha[j], i, v[j])
             return mul(v[m], add(int(i == 0), mul(eta, int(i == t))))
 
-        try:
-            assert_entries(mgrs_generator(MgrsParams(f, alpha, v, eta, t, k)),
-                           k, m + 1, mgrs_entry)
-            built["mgrs"] += 1
-            assert_entries(emgrs_generator(EmgrsParams(f, alpha, v, v_ext, eta, t, k)),
-                           k, m + 2,
-                           lambda i, j: ev(INF, i, v_ext) if j == m + 1 else mgrs_entry(i, j))
-            built["emgrs"] += 1
-        except ValueError:  # a rank-deficient draw
-            pass
+        assert_entries(mgrs_generator(MgrsParams(f, alpha, v, eta, t, k)),
+                       k, m + 1, mgrs_entry)
+        built["mgrs"] += 1
+        assert_entries(emgrs_generator(EmgrsParams(f, alpha, v, v_ext, eta, t, k)),
+                       k, m + 2,
+                       lambda i, j: ev(INF, i, v_ext) if j == m + 1 else mgrs_entry(i, j))
+        built["emgrs"] += 1
         if t < k - 1:
             exps = [e for e in range(k + 1) if e != t]
             assert_entries(c_code_generator(f, alpha, t, k), k, m,
