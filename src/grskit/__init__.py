@@ -16,7 +16,8 @@ from .codes import (LinearCode, GrsSpec, FormatError, grs_generator,
 from .families import (MgrsParams, EmgrsParams, TgrsParams, RothLempelParams,
                        TWIST_ZERO, TWIST_TOP,
                        mgrs_generator, emgrs_generator, mgrs_is_mds,
-                       emgrs_is_mds, roth_lempel_is_mds, c_code_generator, d_code_generator,
+                       emgrs_is_mds, mgrs_is_grs, emgrs_is_grs, roth_lempel_is_mds,
+                       c_code_generator, d_code_generator,
                        tgrs_generator, tgrs_dual_parity,
                        roth_lempel_generator, col_twisted_generator)
 from .constructions import (ConstructionRecord, Table1Report, star_modified,

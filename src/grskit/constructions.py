@@ -4,11 +4,14 @@ Each builder returns a ConstructionRecord carrying the construction
 parameters together with two verdicts, both fixed when it is built, by
 one rule.  MDS-ness is a subset certificate on the evaluation points
 (families.mgrs_is_mds, emgrs_is_mds and roth_lempel_is_mds); no
-generator's columns are walked.  GRS-ness is one grsid.is_grs on the code
-a row is built from.  A dual row takes both verdicts of its primal, since
-MDS-ness and GRS-ness are closed under duality, and a punctured row takes
-the MDS verdict of the code it is punctured from (MacWilliams-Sloane
-ch. 11) and decides GRS-ness on the punctured code, whose dual it is.
+generator's columns are walked.  GRS-ness of a modified-GRS row is the
+normal-rational-curve rule (families.mgrs_is_grs, emgrs_is_grs), whose
+hypotheses every such row of the table meets; for the other rows, and
+where those hypotheses fail, it is one grsid.is_grs on the code a row is
+built from.  A dual row takes both verdicts of its primal, since MDS-ness
+and GRS-ness are closed under duality, and a punctured row takes the MDS
+verdict of the code it is punctured from (MacWilliams-Sloane ch. 11) and
+decides GRS-ness on the punctured code, whose dual it is.
 All arbitrary choices (non-square element, subspace and coset
 enumeration order) are fixed deterministically from the field's
 primitive element: modified-GRS points are taken from its powers in order
@@ -24,8 +27,8 @@ from dataclasses import dataclass
 from .gf import Field, format_element
 from .codes import LinearCode, dual, puncture
 from .families import (MgrsParams, EmgrsParams, RothLempelParams, mgrs_generator,
-                       emgrs_generator, mgrs_is_mds, emgrs_is_mds, roth_lempel_generator,
-                       roth_lempel_is_mds)
+                       emgrs_generator, mgrs_is_mds, emgrs_is_mds, mgrs_is_grs,
+                       emgrs_is_grs, roth_lempel_generator, roth_lempel_is_mds)
 from . import grsid
 
 
@@ -73,10 +76,14 @@ def _fmt_seq(xs) -> str:
     return ",".join(format_element(x) for x in xs)
 
 
-def _record(family: str, params: dict, code: LinearCode, mds: bool) -> ConstructionRecord:
-    # a row built from code itself: mds is its certificate, and GRS-ness
-    # is decided on code
-    return ConstructionRecord(family, params, code, mds, grsid.is_grs(code.gen).grs)
+def _record(family: str, params: dict, code: LinearCode, mds: bool,
+            grs: bool | None = None) -> ConstructionRecord:
+    # a row built from code itself: mds is its certificate, and grs the
+    # curve rule's verdict, or where the rule does not apply (None) is_grs
+    # on code
+    if grs is None:
+        grs = grsid.is_grs(code.gen).grs
+    return ConstructionRecord(family, params, code, mds, grs)
 
 
 def _mgrs_record(family: str, p: MgrsParams) -> ConstructionRecord:
@@ -86,7 +93,7 @@ def _mgrs_record(family: str, p: MgrsParams) -> ConstructionRecord:
         "eta": str(p.eta),
         "t": str(p.t),
     }
-    return _record(family, params, mgrs_generator(p), mgrs_is_mds(p))
+    return _record(family, params, mgrs_generator(p), mgrs_is_mds(p), mgrs_is_grs(p))
 
 
 def _emgrs_record(family: str, p: EmgrsParams) -> ConstructionRecord:
@@ -96,7 +103,7 @@ def _emgrs_record(family: str, p: EmgrsParams) -> ConstructionRecord:
         "eta": str(p.eta),
         "t": str(p.t),
     }
-    return _record(family, params, emgrs_generator(p), emgrs_is_mds(p))
+    return _record(family, params, emgrs_generator(p), emgrs_is_mds(p), emgrs_is_grs(p))
 
 
 def _dual_record(family: str, primal: ConstructionRecord) -> ConstructionRecord:

@@ -1,16 +1,22 @@
-"""Builders and MDS predicates for the GRS-derived code families.
+"""Builders, MDS predicates and a GRS rule for the GRS-derived code families.
 
 Families covered: modified GRS (one generator entry changed), extended
 modified GRS, the row-removed subcode families (c/d), twisted GRS with a
 constant-coefficient or top-degree hook, Roth-Lempel, and column-twisted
 codes.  The MDS predicates (mgrs_is_mds, emgrs_is_mds and
 roth_lempel_is_mds) decide a subset condition on the evaluation points
-exactly, without building generator matrices, by one DP over the values
-that subsets of the points reach; for the reciprocal sums (t = 1), the
-products (t = m) and the Roth-Lempel point sums those are field
-elements, so the DP costs O(n·m·q) field operations.  These certificates
-are the only MDS verdicts of the length table.  The DP has a budget on
-the values it holds (_SUBSET_CAP).
+exactly, without building generator matrices.  For the products (t = m),
+the reciprocal sums (t = 1) and the Roth-Lempel point sums a closure
+check comes first: every fold lies in the subgroup generated by the
+nonzero points (plus 0), or in the F_p-span of the summed values, so a
+target outside it is never reached.  Otherwise one DP over the values
+that subsets of the points reach decides; for those three folds they are
+field elements, so the DP costs O(n·m·q) field operations.  These
+certificates are the only MDS verdicts of the length table.  The DP has
+a budget on the values it holds (_SUBSET_CAP).  The GRS rule
+(mgrs_is_grs, emgrs_is_grs) decides a modified-GRS code from its
+parameters alone, where k >= 3 and at least k+2 columns lie on the
+normal rational curve: GRS iff eta = 0 and 0 is not a point.
 """
 
 from __future__ import annotations
@@ -354,6 +360,33 @@ def _no_subset_reaches(vals, m, op, unit, hit) -> bool:
     return True
 
 
+def _outside_closure(vals, op, unit, target) -> bool:
+    """True iff target is nonzero and outside the group that vals generate
+    under op: the subgroup of the nonzero points under F.mul, or the
+    F_p-span of the values under F.add.  Every fold of vals lies in it
+    (a product may also be 0), so such a target is never reached; a
+    target 0 is left to the DP.  The group grows by one generator at a
+    time, coset by coset, so building it costs O(|group|) operations; past
+    _SUBSET_CAP elements, the DP's own budget, the DP decides."""
+    if target == 0:
+        return False
+    group = {unit}
+    for x in vals:
+        if x in group:
+            continue
+        # <group, x> is the union of the cosets x^j * group, j < i, for the
+        # least i with x^i in group (x^j is x folded j times by op)
+        grown, coset, power = set(group), list(group), x
+        while power not in group:
+            coset = [op(x, h) for h in coset]
+            grown.update(coset)
+            if len(grown) > _SUBSET_CAP:
+                return False
+            power = op(power, x)
+        group = grown
+    return target not in group
+
+
 def _reciprocal_condition_holds(F: Field, alpha, m, eta) -> bool:
     # t = 1 fast path: 1/eta != sum of reciprocals over every m-subset,
     # in projective arithmetic (1/0 = inf, inf + a = inf).
@@ -364,13 +397,19 @@ def _reciprocal_condition_holds(F: Field, alpha, m, eta) -> bool:
         return False
     if target is INF or m > len(rest):
         return True
-    return _no_subset_reaches([F.inv(a) for a in rest], m, F.add, 0, target.__eq__)
+    vals = [F.inv(a) for a in rest]
+    if _outside_closure(vals, F.add, 0, target):
+        return True
+    return _no_subset_reaches(vals, m, F.add, 0, target.__eq__)
 
 
 def _product_condition_holds(F: Field, alpha, m, eta) -> bool:
     # t = m fast path (pi_m = 1): eta != (-1)^(m+1) * prod over m-subsets.
     sign = F.neg(1) if (m + 1) % 2 else 1
-    return _no_subset_reaches(list(alpha), m, F.mul, 1, F.mul(sign, eta).__eq__)
+    target = F.mul(sign, eta)
+    if _outside_closure([a for a in alpha if a != 0], F.mul, 1, target):
+        return True
+    return _no_subset_reaches(list(alpha), m, F.mul, 1, target.__eq__)
 
 
 def _coefficient_condition_holds(F: Field, alpha, m, t, eta) -> bool:
@@ -415,4 +454,37 @@ def roth_lempel_is_mds(p: RothLempelParams) -> bool:
     and k-1 point columns S has minor +-V(S) * (delta - sum(S)), and every
     other k-subset has a nonzero Vandermonde minor."""
     F = p.field
+    if _outside_closure(p.a, F.add, 0, p.delta):
+        return True
     return _no_subset_reaches(list(p.a), p.k - 1, F.add, 0, p.delta.__eq__)
+
+
+# ---------------- GRS rule ----------------
+#
+# The evaluation columns of a modified-GRS code (its finite points, plus
+# inf for the extended one) lie on the normal rational curve
+# (1, x, ..., x^(k-1)).  With k >= 3 and at least k+2 of them, a GRS code
+# on those columns has its points and multipliers fixed up to PGL(2, q)
+# (Dür 1987), so the code is GRS iff its special column e_0 + eta * e_t is
+# a multiple of a further point of that curve.  Row 0 of that column is 1,
+# so the point is finite; the column is 0 on some row 1 <= i <= k-1 other
+# than t, so the point is 0; row t then reads eta = 0, and 0 must not be
+# a point already.
+
+
+def _curve_rule(p, curve_columns):
+    if p.k < 3 or curve_columns < p.k + 2:
+        return None
+    return p.eta == 0 and 0 not in p.alpha
+
+
+def mgrs_is_grs(p: MgrsParams) -> bool | None:
+    """GRS iff eta = 0 and 0 is not a point, where k >= 3 and there are
+    at least k+2 points; None where those hypotheses fail."""
+    return _curve_rule(p, len(p.alpha))
+
+
+def emgrs_is_grs(p: EmgrsParams) -> bool | None:
+    """GRS iff eta = 0 and 0 is not a point, where k >= 3 and the points
+    and inf number at least k+2; None where those hypotheses fail."""
+    return _curve_rule(p, len(p.alpha) + 1)

@@ -328,7 +328,7 @@ def is_grs(g: Matrix) -> GrsVerdict:
     k = g.rows
     m, pivots = linalg.rref(g)
     if len(pivots) < k:
-        raise ValueError("rank-deficient generator matrix")
+        raise ValueError("generator matrix is not full rank")
     if pivots != tuple(range(k)):
         return GrsVerdict(False, reason=ECHELON_FAIL)
     return recover(m)

@@ -120,8 +120,9 @@ def test_table1_text_output(capsys):
     assert "q=11 k=5 n=8 family=modified-grs-dual mds=true grs=non-grs" in lines
 
 
-# SHA-256 of `table1 --q <q> --format kv`, pinned so that a change to how
-# the records are decided cannot change a byte of the table
+# SHA-256 of `table1 --q <q> --format kv` for every prime power
+# 8 <= q <= 128, pinned so that a change to how the records are decided
+# cannot change a byte of the table
 TABLE1_KV_SHA256 = {
     8: "a83431626f907974b5eefb6f366dbe5c8ddcf809e33604f87fbf059fad09a579",
     9: "379133d88d5ef8d06c749f76a0910e1e157ddf49852e4b1cbaf1aa9eef3a09d3",
@@ -137,8 +138,31 @@ TABLE1_KV_SHA256 = {
     31: "f4b3ca00f10b2380d5d8dfba4c361707b6dd9d9deedef78c20eed9bb2bf21cd7",
     32: "38f95c79ab903a0767cd3577e1dde2d671bf6c6c213564e32d0d47c21a76f0ca",
     37: "0cdc60528c6c8fd76723889f40b0e1435a800239bf85f81c53e05dd7322b3d3b",
+    41: "e07c3d6bf70ec25b976ff6ceeb36df7e34522f1a5d2b2f30e219f8ca61472691",
+    43: "d8f89519b7c304dae8939d7f72defff1c5f038c3b0cc5543a3bbd32580917434",
+    47: "2a6fd168ebf164023dd68271f530ea760a54c4eaa65a02f44114b725e6460dd0",
     49: "e1c195040fcd0c4939c6a9f8f7dce59c862ed4f941efc69bf922790ed0be78d4",
+    53: "ee96a64a90d6771fea1f30bb7d1fa5d6765bc9fb56954b81ba6f9d421b5164a8",
+    59: "36b7d18c94c48e66c4b61323de3b32742a7c4bb59d0fe95ab792071d049a9664",
+    61: "ba2220d8add032a081b98cc8e4fede88d715eb59955e71def0aef58e9d794a0b",
     64: "210976f71672bcd403214aa212b24858cf6b232b2bec5434fe07c3d1f31f7a1a",
+    67: "115ee227c28b7fc9c40daf8ed5cb8cc45d0ca0aa5bd65edf573575388eef7da8",
+    71: "52c7e73a264d4904854e41a577c580de73e339333b40ae9ce0552cedd96097dd",
+    73: "939fb8fafd295ba1ccea5188152d2b842ab97ee771c47a2870a100d9d8515618",
+    79: "4d68ec77f0ebd2b4dfaef8e9d21b790a7f7c18a1fc872a126970dfce77beace0",
+    81: "9db57fe697eff3242f70dacb99852040b0b0df2d0df9f5d26898ae37e0a8d71a",
+    83: "c599143cd185084d0316142363bedb43dd7d53758f729637f126bb462298ed0e",
+    89: "3405ddae390394e90fe26a92abf6c9f66c138361b66dd8d2d2faf788c8c61991",
+    97: "4e7c0c6d113c6e7adb44e585a3d1c7d3b98ac49a880a1b629f33512259f3e5cc",
+    101: "5a585c4c8ff61731b5d3c187342c8fe5f248c533fbea82e70cb2cf729a6f0ed7",
+    103: "20bd92a1649ba22876d1bc0a027cf8fe04fa3ff31e0b963b4fa2fb5ed145d72e",
+    107: "56748c848c55ddeb89b27d0d5fe169aabc255c6779cef72e80c9b16c44adf913",
+    109: "4d7669443c5d7a310ffefbd662f8434f038f4ac9754e39fbc67604b9136a01fc",
+    113: "a73da3ec89f64af81b2f41dd3c82a8ed7446f011e93008c937a13fb962e33a3a",
+    121: "b90c3e9bc9ac09b34a1089503bac9f3bc54f4d97921cd7961050be3a8223107f",
+    125: "3606ce7aafac3a822a52b2ee7107c4ee5ec836c7fe6e857260ac30acecc9b38e",
+    127: "94e9921e29148113747adf1173c0fcc5205ac8ac0215d34e3f0deeadb79864f4",
+    128: "ca3ed959d46989a557791a24f2f7dbea3d26057c983122c3fa99155da6797f6f",
 }
 
 
@@ -263,6 +287,17 @@ def test_rank_deficient_input_exit_code(tmp_path, capsys):
         rc, out, err = run(capsys, "check", "--kind", kind, "--in", str(bad))
         assert rc == 2, kind
         assert out == "" and err.startswith("error:"), kind
+
+
+def test_rank_deficient_input_one_message(tmp_path, capsys):
+    # row 2 is 2 * row 1: every command that reads a generator refuses it
+    # with LinearCode's text and prints nothing on stdout
+    bad = tmp_path / "deficient.txt"
+    bad.write_text("field p=11 s=1 mod=0,1\nmatrix 2 4\n1 2 3 4\n2 4 6 8\n")
+    for argv in (("check", "--kind", "is-grs"), ("check", "--kind", "cauchy"),
+                 ("check", "--kind", "mds"), ("recover",), ("transform", "--op", "dual")):
+        rc, out, err = run(capsys, *argv, "--in", str(bad))
+        assert (rc, out, err) == (2, "", "error: generator matrix is not full rank\n"), argv
 
 
 def test_mds_budget_exit_code(tmp_path, capsys):

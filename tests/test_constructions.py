@@ -131,8 +131,11 @@ def test_ngrs_equals_roth_lempel_on_all_points(f8):
 
 
 def test_each_record_verified_once(monkeypatch):
-    # MDS verdicts are certificates, so no columns are walked; is_grs runs
-    # once, on the code a row is built from, and a dual row takes both
+    # MDS verdicts are certificates, so no columns are walked.  A
+    # modified-GRS row takes its GRS verdict from the curve rule and runs no
+    # is_grs, except where the rule's hypotheses fail (star_modified at
+    # k = n-2, odd_k3 on GF(5)); a Roth-Lempel or twisted-GRS row runs
+    # is_grs once, on the code it is built from; a dual row takes both
     # verdicts of its primal
     from grskit import codes, constructions, grsid
     calls = {"rl": 0, "grs": []}
@@ -155,14 +158,20 @@ def test_each_record_verified_once(monkeypatch):
     def same_code(g, code):
         return code_eq(LinearCode(code.field, g), code)
 
-    for build, k in ((lambda: odd_k3(Field(11), 5), 3), (lambda: odd_k3(Field(13), 6), 3),
-                     (lambda: char2_k4(Field(2, 3), 3), 4),
-                     (lambda: char2_k4(Field(2, 4), 7), 4)):
+    for build in (lambda: odd_k3(Field(11), 3), lambda: odd_k3(Field(13), 6),
+                  lambda: char2_k4(Field(2, 3), 3), lambda: char2_k4(Field(2, 4), 4),
+                  lambda: star_modified(Field(13), 4),
+                  lambda: plus_modified(Field(2, 5), 5, extended=False),
+                  lambda: plus_modified(Field(2, 5), 6, extended=True)):
         calls.update(rl=0, grs=[])
         rec = build()
-        assert rec.family == "modified-grs-dual"
+        assert calls["grs"] == [], rec.summary()
+    for build, shape in ((lambda: star_modified(Field(3, 2), 4), (4, 6)),
+                         (lambda: odd_k3(Field(5), 3), (3, 5))):
+        calls.update(rl=0, grs=[])
+        rec = build()
         [g] = calls["grs"]
-        assert g.rows == k and same_code(g, dual(rec.code))
+        assert (rec.k, rec.n) == shape and g is rec.code.gen
     calls.update(rl=0, grs=[])
     rec = tgrs_punctured(Field(2, 4), 9)
     [g] = calls["grs"]
@@ -171,9 +180,8 @@ def test_each_record_verified_once(monkeypatch):
         calls.update(rl=0, grs=[])
         report = table1(field_from_order(q))
         assert calls["rl"] == (q % 2 == 0)
-        built = [rec for rec in report.records
-                 if rec.family not in ("modified-grs-dual", "roth-lempel-dual")]
-        assert len(calls["grs"]) == len(built)
+        built = [rec for rec in report.records if rec.family in ("roth-lempel", "twisted-grs")]
+        assert len(calls["grs"]) == len(built) == (q // 2 if q % 2 == 0 else 0)
         for g, rec in zip(calls["grs"], built):
             if rec.family == "twisted-grs":
                 assert g.rows == 3 and same_code(g, dual(rec.code)), rec.summary()
@@ -207,10 +215,11 @@ def test_table1_runs_no_rank(monkeypatch, q):
     assert calls == []
 
 
-@pytest.mark.parametrize("q", [8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32])
+@pytest.mark.parametrize("q", [8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 49, 64])
 def test_table1_inherited_grs_verdicts_match_is_grs(q):
-    # dual and punctured rows take their GRS verdict from the code they are
-    # built from; is_grs on the record's own code is the oracle
+    # every record's GRS verdict, whether the curve rule's, inherited by a
+    # dual or punctured row, or is_grs on the code a row is built from,
+    # against is_grs on the record's own code
     for rec in table1(field_from_order(q)).records:
         assert rec.grs_verdict == is_grs(rec.code.gen).grs, rec.summary()
 

@@ -12,7 +12,7 @@ from grskit.codes import (LinearCode, GrsSpec, grs_generator, dual, puncture,
 from grskit.families import (MgrsParams, EmgrsParams, TgrsParams,
                              RothLempelParams, TWIST_ZERO, TWIST_TOP,
                              mgrs_generator, emgrs_generator, mgrs_is_mds,
-                             emgrs_is_mds, roth_lempel_is_mds,
+                             emgrs_is_mds, mgrs_is_grs, emgrs_is_grs, roth_lempel_is_mds,
                              c_code_generator, d_code_generator,
                              tgrs_generator, tgrs_dual_parity,
                              roth_lempel_generator, col_twisted_generator)
@@ -543,6 +543,9 @@ def test_subset_dp_fast_folds_stay_far_below_budget(monkeypatch):
         bound = (p.k - 1) * f.q
         assert bound <= families._SUBSET_CAP // 32
         monkeypatch.setattr(families, "_SUBSET_CAP", bound)
+        # the plus row's target is outside the reciprocals' span, so the
+        # closure check alone would decide it; the DP must decide it here
+        monkeypatch.setattr(families, "_outside_closure", lambda *args: False)
         assert check(p)
         monkeypatch.undo()
 
@@ -619,3 +622,120 @@ def test_builders_check_full_rank_iff_square(monkeypatch):
     assert not any(deficient[name, False] for name in names), deficient
     square = {"mgrs", "c-code", "d-code", "col-twisted"}
     assert all(deficient[name, True] > 0 for name in square), deficient
+
+
+def test_curve_rule_matches_is_grs():
+    # the GRS rule of the modified-GRS families against is_grs on the built
+    # code: with k >= 3 and at least k+2 curve columns (finite points, and
+    # inf for emgrs) it decides, GRS iff eta = 0 and 0 is not a point, and
+    # below those hypotheses it answers None.  eta = 0 on a third of the
+    # draws and 0 among the points on half, so a rule that ignores either
+    # condition fails
+    rng = random.Random(21)
+    tally = Counter()
+    for _ in range(480):
+        q = rng.choice((7, 8, 9, 11, 13, 16))
+        f = field_from_order(q)
+        k = 2 if rng.random() < 0.1 else rng.randrange(3, min(8, q - 1))
+        # m finite points, on about one draw in seven too few for the rule
+        m = rng.randrange(k - 1, k + 1) if rng.random() < 0.15 else rng.randrange(k + 2, q + 1)
+        zero = m == q or rng.random() < 0.5
+        alpha = tuple(rng.sample(range(1, q), m - zero)) + (0,) * zero
+        eta = 0 if rng.random() < 1 / 3 else rng.randrange(1, q)
+        t = rng.randrange(1, k)
+        v = tuple(rng.randrange(1, q) for _ in range(m + 1))
+        if rng.random() < 0.5:
+            p = EmgrsParams(f, alpha, v, rng.randrange(1, q), eta, t, k)
+            rule, build, curve = emgrs_is_grs(p), emgrs_generator, m + 1
+        else:
+            p = MgrsParams(f, alpha, v, eta, t, k)
+            rule, build, curve = mgrs_is_grs(p), mgrs_generator, m
+        if k < 3 or curve < k + 2:
+            assert rule is None, (q, k, curve)
+            tally["none"] += 1
+            continue
+        assert rule == is_grs(build(p).gen).grs, (q, type(p).__name__, alpha, eta, t, k)
+        tally[rule, eta == 0, zero] += 1
+    decided = sum(n for key, n in tally.items() if key != "none")
+    assert decided >= 300 and tally["none"] >= 20, tally
+    # GRS draws, and eta = 0 draws with 0 among the points, which are not
+    assert tally[True, True, False] >= 20 and tally[False, True, True] >= 20, tally
+
+
+def _span(f, basis):
+    # every F_p-combination of basis, built from scratch
+    out = {0}
+    for b in basis:
+        out = {f.add(x, f.mul(c, b)) for x in out for c in range(f.p)}
+    return out
+
+
+def test_closure_checks_match_subset_oracle():
+    # every product of points lies in the subgroup H of the nonzero points,
+    # or is 0, and every sum of values lies in their F_p-span V; a target
+    # outside is never reached, and inside the DP decides.  Points drawn
+    # from a proper subgroup or subspace, and targets inside and outside
+    # it (0 included), for the product (t = m), reciprocal-sum (t = 1) and
+    # Roth-Lempel folds, each verdict against every subset folded from
+    # scratch
+    rng = random.Random(22)
+    tally = Counter()
+    for _ in range(900):
+        fold = rng.choice(("product", "sum", "sum", "roth-lempel"))
+        if fold == "product":
+            q = rng.choice((11, 13, 16, 25, 27, 31))
+            f = field_from_order(q)
+            d = rng.choice([d for d in range(2, q - 1) if (q - 1) % d == 0 and (q - 1) // d >= 4])
+            closure = set(f.powers_of_primitive()[::d]) | {0}
+        else:
+            q = rng.choice((8, 9, 16, 25, 27, 32))
+            f = field_from_order(q)
+            closure = _span(f, rng.sample(range(1, q), rng.randrange(1, f.s)))
+            if len(closure) < 5:
+                continue
+        pts = rng.sample(sorted(closure - {0}), min(len(closure - {0}), rng.randrange(4, 9)))
+        target = rng.choice((0, rng.choice(sorted(closure)), rng.randrange(q)))
+        if fold == "roth-lempel":
+            k = rng.randrange(3, len(pts))
+            want = all(functools.reduce(f.add, sub) != target
+                       for sub in combinations(pts, k - 1))
+            got = roth_lempel_is_mds(RothLempelParams(f, tuple(pts), target, k))
+        elif fold == "sum":
+            # 1/eta is the target, so eta = 0 (target inf) is left out
+            if target == 0:
+                continue
+            alpha = tuple(f.inv(b) for b in pts) + (0,) * (rng.random() < 0.3)
+            k = rng.randrange(2, len(alpha) + 1)
+            eta = f.inv(target)
+            want = condition_by_subsets(f, alpha, k - 1, 1, eta)
+            got = mgrs_is_mds(MgrsParams(f, alpha, (1,) * (len(alpha) + 1), eta, 1, k))
+        else:
+            alpha = tuple(pts) + (0,) * (rng.random() < 0.3)
+            k = rng.randrange(3, len(alpha) + 2)
+            m = k - 1
+            sign = f.neg(1) if (m + 1) % 2 else 1
+            eta = f.mul(sign, target)  # the DP's target is sign * eta
+            want = condition_by_subsets(f, alpha, m, m, eta)
+            got = mgrs_is_mds(MgrsParams(f, alpha, (1,) * (len(alpha) + 1), eta, m, k))
+        assert got == want, (fold, q, pts, target, k)
+        tally[fold, target in closure, want] += 1
+    for fold in ("product", "sum", "roth-lempel"):
+        # outside the closure every verdict is True; inside, both occur
+        assert tally[fold, False, True] >= 5 and not tally[fold, False, False], tally
+        assert tally[fold, True, True] >= 5 and tally[fold, True, False] >= 5, tally
+
+
+def test_closure_stays_within_the_dp_budget(monkeypatch):
+    # 4 generates the squares of GF(13)*, six elements, and 2 is not one;
+    # 1 and 2 span {0, 1, 2, 3} in GF(8), and 4 is not in it; a target 0
+    # is left to the DP, and so is any target once the group outgrows
+    # _SUBSET_CAP
+    f13, f8 = Field(13), Field(2, 3)
+    assert families._outside_closure((4,), f13.mul, 1, 2)
+    assert not families._outside_closure((4,), f13.mul, 1, 3)
+    assert families._outside_closure((1, 2), f8.add, 0, 4)
+    assert not families._outside_closure((1, 2), f8.add, 0, 3)
+    assert not families._outside_closure((4,), f13.mul, 1, 0)
+    monkeypatch.setattr(families, "_SUBSET_CAP", 5)
+    assert not families._outside_closure((4,), f13.mul, 1, 2)
+    assert families._outside_closure((1, 2), f8.add, 0, 4)

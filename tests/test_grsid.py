@@ -139,7 +139,7 @@ def is_grs_by_regeneration(g):
     k = g.rows
     m, pivots = rref(g)
     if len(pivots) < k:
-        raise ValueError("rank-deficient generator matrix")
+        raise ValueError("generator matrix is not full rank")
     if pivots != tuple(range(k)):
         return GrsVerdict(False, reason=ECHELON_FAIL)
     with mock.patch.object(grsid, "_spec_gives_block", lambda m, spec: True):
