@@ -96,8 +96,8 @@ def _build_family(field: Field, args) -> LinearCode:
         return roth_lempel_generator(RothLempelParams(field, tuple(range(n - 2)), delta, k))
     if fam == "col-twisted":
         _require(args, "lam")
-        if n + 1 > q:
-            raise UsageError("col-twisted needs n <= q-1")
+        if not 1 <= n <= q - 1:
+            raise UsageError("col-twisted needs 1 <= n <= q-1")
         return col_twisted_generator(field, tuple(range(2, n + 1)), 0, 1, args.lam, k)
     if fam == "c-code":
         _require(args, "t")

@@ -124,7 +124,7 @@ def _cols_to_code(F: Field, cols, k) -> LinearCode:
     # vanishing on the n-1 points has a nonzero hook coefficient, which the
     # last column reads), so rank is k.
     rows = [[c[i] for c in cols] for i in range(k)]
-    gen = Matrix(F, rows, cols=len(cols), check=False)
+    gen = linalg._matrix(F, rows, len(cols))
     return LinearCode(F, gen) if len(cols) <= k else _full_rank_code(F, gen)
 
 
@@ -174,7 +174,7 @@ def puncture(code: LinearCode, positions) -> LinearCode:
     red, pivots = linalg.rref(sub)
     if not pivots:
         raise ValueError("punctured code is empty")
-    gen = Matrix(code.field, red.data[:len(pivots)], cols=len(keep), check=False)
+    gen = linalg._matrix(code.field, red.data[:len(pivots)], len(keep))
     return _full_rank_code(code.field, gen)
 
 
@@ -416,7 +416,7 @@ def parse_matrix_file(text: str) -> Matrix:
             rows.append([parse_element(field, t) for t in toks])
         except ValueError as e:
             raise FormatError(str(e)) from e
-    return Matrix(field, rows, cols=n, check=False)
+    return linalg._matrix(field, rows, n)
 
 
 def format_spec_file(spec: GrsSpec) -> str:

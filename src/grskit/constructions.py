@@ -1,17 +1,20 @@
 """Explicit maximal-length non-GRS MDS constructions and the length table.
 
 Each builder returns a ConstructionRecord carrying the construction
-parameters together with two verdicts, both fixed when it is built, by
-one rule.  MDS-ness is a subset certificate on the evaluation points
+parameters together with two verdicts, both decided from the parameters
+alone.  MDS-ness is a subset certificate on the evaluation points
 (families.mgrs_is_mds, emgrs_is_mds and roth_lempel_is_mds); no
 generator's columns are walked.  GRS-ness of a modified-GRS row is the
-normal-rational-curve rule (families.mgrs_is_grs, emgrs_is_grs), whose
-hypotheses every such row of the table meets; for the other rows, and
-where those hypotheses fail, it is one grsid.is_grs on the code a row is
-built from.  A dual row takes both verdicts of its primal, since MDS-ness
-and GRS-ness are closed under duality, and a punctured row takes the MDS
-verdict of the code it is punctured from (MacWilliams-Sloane ch. 11) and
-decides GRS-ness on the punctured code, whose dual it is.
+families' curve rule (mgrs_is_grs, emgrs_is_grs).  The Roth-Lempel
+[q+2, 3] code and each punctured [k+3, 3] code behind a twisted-GRS row
+are non-GRS by the same curve argument: at least 3+2 of their columns
+lie on the conic (1, x, x^2), all q+1 points or k+2 >= 6 of them, so in
+a GRS code every column is a multiple of a point of the conic (Dür
+1987); the last column, e_1 + delta * e_2 (delta = 0 here), is 0 in row 0
+and is not e_2, so it is a multiple of none.  A dual row takes both
+verdicts of its primal, since MDS-ness and GRS-ness are closed under
+duality, and a punctured row takes the MDS verdict of the code it is
+punctured from (MacWilliams-Sloane ch. 11).
 All arbitrary choices (non-square element, subspace and coset
 enumeration order) are fixed deterministically from the field's
 primitive element: modified-GRS points are taken from its powers in order
@@ -29,7 +32,6 @@ from .codes import LinearCode, dual, puncture
 from .families import (MgrsParams, EmgrsParams, RothLempelParams, mgrs_generator,
                        emgrs_generator, mgrs_is_mds, emgrs_is_mds, mgrs_is_grs,
                        emgrs_is_grs, roth_lempel_generator, roth_lempel_is_mds)
-from . import grsid
 
 
 @dataclass(frozen=True)
@@ -76,16 +78,6 @@ def _fmt_seq(xs) -> str:
     return ",".join(format_element(x) for x in xs)
 
 
-def _record(family: str, params: dict, code: LinearCode, mds: bool,
-            grs: bool | None = None) -> ConstructionRecord:
-    # a row built from code itself: mds is its certificate, and grs the
-    # curve rule's verdict, or where the rule does not apply (None) is_grs
-    # on code
-    if grs is None:
-        grs = grsid.is_grs(code.gen).grs
-    return ConstructionRecord(family, params, code, mds, grs)
-
-
 def _mgrs_record(family: str, p: MgrsParams) -> ConstructionRecord:
     params = {
         "alpha": _fmt_seq(p.alpha),
@@ -93,7 +85,8 @@ def _mgrs_record(family: str, p: MgrsParams) -> ConstructionRecord:
         "eta": str(p.eta),
         "t": str(p.t),
     }
-    return _record(family, params, mgrs_generator(p), mgrs_is_mds(p), mgrs_is_grs(p))
+    return ConstructionRecord(family, params, mgrs_generator(p), mgrs_is_mds(p),
+                              mgrs_is_grs(p))
 
 
 def _emgrs_record(family: str, p: EmgrsParams) -> ConstructionRecord:
@@ -103,7 +96,8 @@ def _emgrs_record(family: str, p: EmgrsParams) -> ConstructionRecord:
         "eta": str(p.eta),
         "t": str(p.t),
     }
-    return _record(family, params, emgrs_generator(p), emgrs_is_mds(p), emgrs_is_grs(p))
+    return ConstructionRecord(family, params, emgrs_generator(p), emgrs_is_mds(p),
+                              emgrs_is_grs(p))
 
 
 def _dual_record(family: str, primal: ConstructionRecord) -> ConstructionRecord:
@@ -206,7 +200,8 @@ def ngrs_q2_3(field: Field) -> ConstructionRecord:
     unit columns; every field element is an evaluation point."""
     p = _roth_lempel_params(field)
     params = {"alpha": _fmt_seq(p.a), "delta": "0"}
-    return _record("roth-lempel", params, roth_lempel_generator(p), roth_lempel_is_mds(p))
+    return ConstructionRecord("roth-lempel", params, roth_lempel_generator(p),
+                              roth_lempel_is_mds(p), False)
 
 
 def tgrs_punctured(field: Field, k: int) -> ConstructionRecord:
@@ -223,15 +218,13 @@ def tgrs_punctured(field: Field, k: int) -> ConstructionRecord:
 def _punctured_record(k: int, roth_lempel: LinearCode, mds: bool) -> ConstructionRecord:
     # mds is the verdict of the [q+2, 3] code roth_lempel; puncturing it
     # down to length k+3 >= 3 and taking the dual both keep MDS, and the
-    # dual is GRS iff the punctured [k+3, 3] code is
+    # punctured code, k+2 points and e_1, is non-GRS, so its dual is too
     q = roth_lempel.field.q
     s = q - 1 - k
     positions = list(range(1, s)) + [q + 1]
     punctured = puncture(roth_lempel, positions)
-    code = dual(punctured)
     params = {"derived": f"dual-of-punctured-[{q + 2},3]", "punctured": _fmt_seq(positions)}
-    return ConstructionRecord("twisted-grs", params, code, mds,
-                              grsid.is_grs(punctured.gen).grs)
+    return ConstructionRecord("twisted-grs", params, dual(punctured), mds, False)
 
 
 def table1(field: Field) -> Table1Report:

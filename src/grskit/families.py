@@ -14,9 +14,9 @@ that subsets of the points reach decides; for those three folds they are
 field elements, so the DP costs O(n·m·q) field operations.  These
 certificates are the only MDS verdicts of the length table.  The DP has
 a budget on the values it holds (_SUBSET_CAP).  The GRS rule
-(mgrs_is_grs, emgrs_is_grs) decides a modified-GRS code from its
-parameters alone, where k >= 3 and at least k+2 columns lie on the
-normal rational curve: GRS iff eta = 0 and 0 is not a point.
+(mgrs_is_grs, emgrs_is_grs) decides every modified-GRS code from its
+parameters alone: GRS iff eta = 0 and 0 is not a point where
+min(k, n-k) >= 3, and iff MDS and n <= q+1 elsewhere.
 """
 
 from __future__ import annotations
@@ -461,30 +461,31 @@ def roth_lempel_is_mds(p: RothLempelParams) -> bool:
 
 # ---------------- GRS rule ----------------
 #
-# The evaluation columns of a modified-GRS code (its finite points, plus
-# inf for the extended one) lie on the normal rational curve
-# (1, x, ..., x^(k-1)).  With k >= 3 and at least k+2 of them, a GRS code
-# on those columns has its points and multipliers fixed up to PGL(2, q)
-# (Dür 1987), so the code is GRS iff its special column e_0 + eta * e_t is
-# a multiple of a further point of that curve.  Row 0 of that column is 1,
-# so the point is finite; the column is 0 on some row 1 <= i <= k-1 other
-# than t, so the point is 0; row t then reads eta = 0, and 0 must not be
-# a point already.
+# Where min(k, n-k) <= 2 a code is GRS iff it is MDS and n <= q+1: with
+# k = 2 an MDS code's columns are distinct points of PG(1, q), and n-k <= 2
+# follows by duality (k >= 2, as t >= 1).  Elsewhere n-1 >= k+2 columns
+# (the finite points, and inf for emgrs) lie on the normal rational curve
+# (1, x, ..., x^(k-1)), and with k >= 3 a GRS code on them has its points
+# and multipliers fixed up to PGL(2, q) (Dür 1987).  So the code is GRS iff
+# its special column e_0 + eta * e_t is a multiple of a further point of
+# the curve: row 0 reads 1, so the point is finite; a row 1 <= i <= k-1
+# other than t reads 0, so the point is 0; then row t reads eta = 0, and 0
+# must not be a point already.
 
 
-def _curve_rule(p, curve_columns):
-    if p.k < 3 or curve_columns < p.k + 2:
-        return None
+def _curve_rule(p, is_mds) -> bool:
+    if min(p.k, p.n - p.k) <= 2:
+        return p.n <= p.field.q + 1 and is_mds(p)
     return p.eta == 0 and 0 not in p.alpha
 
 
-def mgrs_is_grs(p: MgrsParams) -> bool | None:
-    """GRS iff eta = 0 and 0 is not a point, where k >= 3 and there are
-    at least k+2 points; None where those hypotheses fail."""
-    return _curve_rule(p, len(p.alpha))
+def mgrs_is_grs(p: MgrsParams) -> bool:
+    """GRS iff eta = 0 and 0 is not a point, where min(k, n-k) >= 3;
+    elsewhere GRS iff MDS (mgrs_is_mds) and n <= q+1."""
+    return _curve_rule(p, mgrs_is_mds)
 
 
-def emgrs_is_grs(p: EmgrsParams) -> bool | None:
-    """GRS iff eta = 0 and 0 is not a point, where k >= 3 and the points
-    and inf number at least k+2; None where those hypotheses fail."""
-    return _curve_rule(p, len(p.alpha) + 1)
+def emgrs_is_grs(p: EmgrsParams) -> bool:
+    """GRS iff eta = 0 and 0 is not a point, where min(k, n-k) >= 3;
+    elsewhere GRS iff MDS (emgrs_is_mds) and n <= q+1."""
+    return _curve_rule(p, emgrs_is_mds)

@@ -506,7 +506,7 @@ def bench_recover(field: Field, k: int, n_list, trials: int, seed: int = 0):
             m, ok = linalg.echelonize(grs_generator(spec).gen)
             assert ok  # GRS codes are MDS
             cf = CountingField(field)
-            mc = Matrix(cf, m.data, cols=n, check=False)
+            mc = linalg._matrix(cf, m.data, n)
             t0 = time.perf_counter()
             verdict = recover(mc)
             times.append(time.perf_counter() - t0)

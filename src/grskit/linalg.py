@@ -21,21 +21,18 @@ class Matrix:
 
     __slots__ = ("field", "data", "cols")
 
-    def __init__(self, field: Field, rows, cols: int | None = None, check: bool = True):
+    def __init__(self, field: Field, rows, cols: int | None = None):
         data = tuple(tuple(r) for r in rows)
         if data:
             cols = len(data[0])
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        self.field = field
-        self.data = data
-        self.cols = cols
-        if check:
-            for r in data:
-                if len(r) != cols:
-                    raise ValueError("ragged rows")
-                for e in r:
-                    field.check(e)
+        for r in data:
+            if len(r) != cols:
+                raise ValueError("ragged rows")
+            for e in r:
+                field.check(e)
+        self.field, self.data, self.cols = field, data, cols
 
     @property
     def rows(self) -> int:
@@ -45,7 +42,7 @@ class Matrix:
         return tuple(r[j] for r in self.data)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.data)), cols=self.rows, check=False)
+        return _matrix(self.field, zip(*self.data), self.rows)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -56,6 +53,14 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
+
+
+def _matrix(field: Field, rows, cols: int) -> Matrix:
+    """A Matrix on rows of cols field elements each, which its caller
+    built: no validation."""
+    m = object.__new__(Matrix)
+    m.field, m.data, m.cols = field, tuple(tuple(r) for r in rows), cols
+    return m
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -75,12 +80,12 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
                     acc = F.add(acc, F.mul(x, y))
             row.append(acc)
         out.append(row)
-    return Matrix(F, out, cols=b.cols, check=False)
+    return _matrix(F, out, b.cols)
 
 
 def submatrix(m: Matrix, row_idx, col_idx) -> Matrix:
     rows = [[m.data[i][j] for j in col_idx] for i in row_idx]
-    return Matrix(m.field, rows, cols=len(tuple(col_idx)), check=False)
+    return _matrix(m.field, rows, len(col_idx))
 
 
 def is_zero(m: Matrix) -> bool:
@@ -140,7 +145,7 @@ def rref(m: Matrix):
             f = a[i][c]
             if f:
                 a[i] = [sub(x, mul(f, y)) if y else x for x, y in zip(a[i], row)]
-    return Matrix(F, a, cols=m.cols, check=False), pivots
+    return _matrix(F, a, m.cols), pivots
 
 
 def echelonize(m: Matrix):
@@ -194,4 +199,4 @@ def right_kernel(m: Matrix) -> Matrix:
             if e != 0:
                 vec[pc] = F.neg(e)
         basis.append(vec)
-    return Matrix(F, basis, cols=n, check=False)
+    return _matrix(F, basis, n)

@@ -376,14 +376,19 @@ def test_refusals_name_their_bound(capsys):
 
 def test_negative_length_or_dimension_is_usage_error(capsys):
     # range() of a negative bound is empty, so no builder would see it:
-    # these once built a 0x0, a length-1 and a 0x5 generator
-    for argv in (("--q", "7", "--family", "grs", "--n", "-1", "--k", "0"),
-                 ("--q", "13", "--family", "col-twisted", "--n", "-1", "--k", "0",
-                  "--lambda", "2"),
-                 ("--q", "13", "--family", "col-twisted", "--n", "5", "--k", "-1",
-                  "--lambda", "2")):
+    # these once built a 0x0, a length-1 and a 0x5 generator, and
+    # col-twisted at n = 0 (points range(2, 1)) a length-1 one
+    negative = "error: --n and --k must be >= 0\n"
+    for argv, err_want in (
+            (("--q", "7", "--family", "grs", "--n", "-1", "--k", "0"), negative),
+            (("--q", "13", "--family", "col-twisted", "--n", "-1", "--k", "0",
+              "--lambda", "2"), negative),
+            (("--q", "13", "--family", "col-twisted", "--n", "5", "--k", "-1",
+              "--lambda", "2"), negative),
+            (("--q", "7", "--family", "col-twisted", "--n", "0", "--k", "0",
+              "--lambda", "1"), "error: col-twisted needs 1 <= n <= q-1\n")):
         rc, out, err = run(capsys, "construct", *argv)
-        assert (rc, out, err) == (2, "", "error: --n and --k must be >= 0\n"), argv
+        assert (rc, out, err) == (2, "", err_want), argv
 
 
 def test_module_entry_point_exit_codes(tmp_path):

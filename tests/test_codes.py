@@ -300,7 +300,7 @@ def test_is_mds_op_ceiling_extended_grs():
     for k, ceiling in ((14, 13_356), (8, 710_156)):
         cf = CountingField(f)
         g = grs_generator(GrsSpec(f, tuple(range(16)) + (INF,), (1,) * 17, k)).gen
-        code = LinearCode(cf, Matrix(cf, g.data, check=False))
+        code = LinearCode(cf, Matrix(cf, g.data))
         cf.ops = 0  # count is_mds only, not the constructor's rank check
         assert is_mds(code)
         assert cf.ops <= ceiling, (k, cf.ops)
@@ -411,7 +411,7 @@ def test_min_distance_op_ceiling(f11):
     for n, k, d, ceiling in ((10, 3, 8, 432), (8, 6, 3, 540)):
         cf = CountingField(f11)
         g = grs_generator(GrsSpec(f11, tuple(range(n)), (1,) * n, k)).gen
-        code = LinearCode(cf, Matrix(cf, g.data, check=False))
+        code = LinearCode(cf, Matrix(cf, g.data))
         cf.ops = 0  # count min_distance only, not the constructor's rank check
         assert min_distance(code) == d
         assert cf.ops <= ceiling, (n, k, cf.ops)

@@ -1,7 +1,7 @@
 import pytest
 
 from grskit.gf import Field, field_from_order
-from grskit.codes import LinearCode, min_distance, is_mds, dual, code_eq
+from grskit.codes import min_distance, is_mds, dual
 from grskit.families import MgrsParams, mgrs_generator
 from grskit.constructions import (star_modified, odd_k3, plus_modified,
                                   char2_k4, ngrs_q2_3, tgrs_punctured, table1)
@@ -131,62 +131,54 @@ def test_ngrs_equals_roth_lempel_on_all_points(f8):
 
 
 def test_each_record_verified_once(monkeypatch):
-    # MDS verdicts are certificates, so no columns are walked.  A
-    # modified-GRS row takes its GRS verdict from the curve rule and runs no
-    # is_grs, except where the rule's hypotheses fail (star_modified at
-    # k = n-2, odd_k3 on GF(5)); a Roth-Lempel or twisted-GRS row runs
-    # is_grs once, on the code it is built from; a dual row takes both
-    # verdicts of its primal
+    # both verdicts come from the parameters: MDS from a certificate, so
+    # no columns are walked, and GRS from the curve rule or, for a
+    # Roth-Lempel or twisted-GRS row, the curve argument, so no is_grs runs
+    # in any builder or in table1, below the rule's hypotheses included
+    # (star_modified at k = n-2, odd_k3 on GF(5)); a dual row takes both
+    # verdicts of its primal, and a twisted-GRS row the MDS verdict of its
+    # [q+2, 3] code
     from grskit import codes, constructions, grsid
-    calls = {"rl": 0, "grs": []}
+    calls = {"rl": 0}
 
     def no_walk(*args):
         raise AssertionError("column walk")
+
+    def no_is_grs(*args):
+        raise AssertionError("is_grs")
 
     def counted_rl(p):
         calls["rl"] += 1
         return roth_lempel_is_mds(p)
 
-    def counted_grs(g):
-        calls["grs"].append(g)
-        return is_grs(g)
-
     monkeypatch.setattr(codes, "_columns_independent", no_walk)
     monkeypatch.setattr(constructions, "roth_lempel_is_mds", counted_rl)
-    monkeypatch.setattr(grsid, "is_grs", counted_grs)
-
-    def same_code(g, code):
-        return code_eq(LinearCode(code.field, g), code)
-
-    for build in (lambda: odd_k3(Field(11), 3), lambda: odd_k3(Field(13), 6),
-                  lambda: char2_k4(Field(2, 3), 3), lambda: char2_k4(Field(2, 4), 4),
-                  lambda: star_modified(Field(13), 4),
-                  lambda: plus_modified(Field(2, 5), 5, extended=False),
-                  lambda: plus_modified(Field(2, 5), 6, extended=True)):
-        calls.update(rl=0, grs=[])
+    monkeypatch.setattr(grsid, "is_grs", no_is_grs)
+    assert not any(v is grsid or getattr(v, "__module__", None) == grsid.__name__
+                   for v in vars(constructions).values())
+    # (k, n, GRS): the [6, 4] and [5, 3] codes, of length q+1 or less and
+    # with n-k = 2, are MDS and so GRS
+    for build, shape in ((lambda: odd_k3(Field(11), 3), (3, 8, False)),
+                         (lambda: odd_k3(Field(13), 6), (6, 9, False)),
+                         (lambda: odd_k3(Field(5), 3), (3, 5, True)),
+                         (lambda: char2_k4(Field(2, 3), 3), (3, 7, False)),
+                         (lambda: char2_k4(Field(2, 4), 4), (4, 11, False)),
+                         (lambda: star_modified(Field(13), 4), (4, 8, False)),
+                         (lambda: star_modified(Field(3, 2), 4), (4, 6, True)),
+                         (lambda: plus_modified(Field(2, 5), 5, extended=False),
+                          (5, 17, False)),
+                         (lambda: plus_modified(Field(2, 5), 6, extended=True),
+                          (6, 18, False)),
+                         (lambda: ngrs_q2_3(Field(2, 3)), (3, 10, False)),
+                         (lambda: tgrs_punctured(Field(2, 4), 9), (9, 12, False))):
+        calls.update(rl=0)
         rec = build()
-        assert calls["grs"] == [], rec.summary()
-    for build, shape in ((lambda: star_modified(Field(3, 2), 4), (4, 6)),
-                         (lambda: odd_k3(Field(5), 3), (3, 5))):
-        calls.update(rl=0, grs=[])
-        rec = build()
-        [g] = calls["grs"]
-        assert (rec.k, rec.n) == shape and g is rec.code.gen
-    calls.update(rl=0, grs=[])
-    rec = tgrs_punctured(Field(2, 4), 9)
-    [g] = calls["grs"]
-    assert calls["rl"] == 1 and (g.rows, g.cols) == (3, 12) and same_code(g, dual(rec.code))
-    for q in (8, 9, 11, 16, 25, 32):
-        calls.update(rl=0, grs=[])
+        assert (rec.k, rec.n, rec.grs_verdict) == shape and rec.mds, rec.summary()
+        assert calls["rl"] == (rec.family in ("roth-lempel", "twisted-grs")), rec.summary()
+    for q in (8, 9, 11, 16, 25, 32, 64):
+        calls.update(rl=0)
         report = table1(field_from_order(q))
-        assert calls["rl"] == (q % 2 == 0)
-        built = [rec for rec in report.records if rec.family in ("roth-lempel", "twisted-grs")]
-        assert len(calls["grs"]) == len(built) == (q // 2 if q % 2 == 0 else 0)
-        for g, rec in zip(calls["grs"], built):
-            if rec.family == "twisted-grs":
-                assert g.rows == 3 and same_code(g, dual(rec.code)), rec.summary()
-            else:
-                assert g is rec.code.gen, rec.summary()
+        assert calls["rl"] == (q % 2 == 0) and report.records
 
 
 def test_records_carry_their_certificate(monkeypatch):

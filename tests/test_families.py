@@ -626,19 +626,20 @@ def test_builders_check_full_rank_iff_square(monkeypatch):
 
 def test_curve_rule_matches_is_grs():
     # the GRS rule of the modified-GRS families against is_grs on the built
-    # code: with k >= 3 and at least k+2 curve columns (finite points, and
-    # inf for emgrs) it decides, GRS iff eta = 0 and 0 is not a point, and
-    # below those hypotheses it answers None.  eta = 0 on a third of the
-    # draws and 0 among the points on half, so a rule that ignores either
-    # condition fails
+    # code, which it decides on every draw: with min(k, n-k) >= 3 (at least
+    # k+2 curve columns: finite points, and inf for emgrs) GRS iff eta = 0
+    # and 0 is not a point, and elsewhere GRS iff MDS and n <= q+1.  eta = 0
+    # on a third of the draws and 0 among the points on half, so a rule that
+    # ignores either condition fails; a quarter of the draws have n-k <= 2
+    # (k = n among them) and a tenth k = 2
     rng = random.Random(21)
     tally = Counter()
-    for _ in range(480):
+    for _ in range(600):
         q = rng.choice((7, 8, 9, 11, 13, 16))
         f = field_from_order(q)
         k = 2 if rng.random() < 0.1 else rng.randrange(3, min(8, q - 1))
-        # m finite points, on about one draw in seven too few for the rule
-        m = rng.randrange(k - 1, k + 1) if rng.random() < 0.15 else rng.randrange(k + 2, q + 1)
+        # m finite points
+        m = rng.randrange(k - 1, k + 2) if rng.random() < 0.25 else rng.randrange(k + 2, q + 1)
         zero = m == q or rng.random() < 0.5
         alpha = tuple(rng.sample(range(1, q), m - zero)) + (0,) * zero
         eta = 0 if rng.random() < 1 / 3 else rng.randrange(1, q)
@@ -646,20 +647,51 @@ def test_curve_rule_matches_is_grs():
         v = tuple(rng.randrange(1, q) for _ in range(m + 1))
         if rng.random() < 0.5:
             p = EmgrsParams(f, alpha, v, rng.randrange(1, q), eta, t, k)
-            rule, build, curve = emgrs_is_grs(p), emgrs_generator, m + 1
+            rule, build = emgrs_is_grs(p), emgrs_generator
         else:
             p = MgrsParams(f, alpha, v, eta, t, k)
-            rule, build, curve = mgrs_is_grs(p), mgrs_generator, m
-        if k < 3 or curve < k + 2:
-            assert rule is None, (q, k, curve)
-            tally["none"] += 1
+            rule, build = mgrs_is_grs(p), mgrs_generator
+        assert type(rule) is bool
+        try:
+            code = build(p)
+        except ValueError:
+            # a rank-deficient [k, k] generator: no code, and not GRS
+            assert p.n == k and rule is False, (q, alpha, eta, t, k)
+            tally["deficient"] += 1
             continue
-        assert rule == is_grs(build(p).gen).grs, (q, type(p).__name__, alpha, eta, t, k)
-        tally[rule, eta == 0, zero] += 1
-    decided = sum(n for key, n in tally.items() if key != "none")
-    assert decided >= 300 and tally["none"] >= 20, tally
+        assert rule == is_grs(code.gen).grs, (q, type(p).__name__, alpha, eta, t, k)
+        if min(k, p.n - k) <= 2:
+            tally["small", rule, p.n == k] += 1
+        else:
+            tally[rule, eta == 0, zero] += 1
+    small = sum(n for key, n in tally.items() if key[0] == "small")
+    assert small >= 150 and 600 - small - tally["deficient"] >= 300, tally
     # GRS draws, and eta = 0 draws with 0 among the points, which are not
     assert tally[True, True, False] >= 20 and tally[False, True, True] >= 20, tally
+    # below the curve rule's hypotheses: GRS, non-GRS and k = n draws
+    assert (tally["small", True, False] >= 20 and tally["small", False, False] >= 20
+            and tally["small", True, True] >= 10), tally
+    # emgrs on every point with k = n-1 = q+1: MDS on some draws, but of
+    # length q+2 > q+1, so never GRS
+    mds = 0
+    for q in (4, 5, 7) * 20:
+        f = field_from_order(q)
+        p = EmgrsParams(f, tuple(rng.sample(range(q), q)),
+                        tuple(rng.randrange(1, q) for _ in range(q + 1)), rng.randrange(1, q),
+                        rng.randrange(q), rng.randrange(1, q + 1), q + 1)
+        assert emgrs_is_grs(p) is False and not is_grs(emgrs_generator(p).gen).grs, p
+        mds += emgrs_is_mds(p)
+    assert mds >= 5, mds
+    # a Roth-Lempel code has n-1 >= k+2 curve columns (its points and inf)
+    # and e_(k-2) + delta * e_(k-1), which is 0 in row 0 and not e_(k-1), so
+    # a multiple of no point of the curve: never GRS, MDS or not
+    for _ in range(150):
+        q = rng.choice((8, 9, 11, 13, 16))
+        f = field_from_order(q)
+        k = rng.randrange(3, q - 1)
+        n = rng.randrange(k + 3, q + 3)
+        p = RothLempelParams(f, tuple(rng.sample(range(q), n - 2)), rng.randrange(q), k)
+        assert not is_grs(roth_lempel_generator(p).gen).grs, (q, p.a, p.delta, k)
 
 
 def _span(f, basis):

@@ -345,9 +345,9 @@ def test_is_grs_ops_ceiling():
         f = field_from_order(q)
         g = grs_generator(random_grs_spec(f, n, k, rng, with_inf=with_inf)).gen
         cf = CountingField(f)
-        m, _ = rref(Matrix(cf, g.data, cols=n, check=False))
+        m, _ = rref(Matrix(cf, g.data, cols=n))
         rref_ops, cf.ops = cf.ops, 0
-        verdict = is_grs(Matrix(cf, g.data, cols=n, check=False))
+        verdict = is_grs(Matrix(cf, g.data, cols=n))
         assert verdict.grs
         assert cf.ops <= rref_ops + 10 * k * n, (q, n, k, cf.ops - rref_ops)
         cf.ops = 0

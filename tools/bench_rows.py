@@ -23,8 +23,8 @@ kept, so one file holds a parent tree's numbers next to a change's.
 The writer uses only grskit's public names, so it runs against any tree
 that has them:
 
-    PYTHONPATH=src python tools/bench_rows.py --side change --out BENCH_19.json
-    PYTHONPATH=<other tree>/src python tools/bench_rows.py --side parent --out BENCH_19.json
+    PYTHONPATH=src python tools/bench_rows.py --side change --out BENCH_20.json
+    PYTHONPATH=<other tree>/src python tools/bench_rows.py --side parent --out BENCH_20.json
 
 Standard library only.
 """
@@ -162,9 +162,9 @@ def bench_row(q: int, n: int, k: int, repeat: int) -> dict:
                 verdict = out
     rref_s, is_grs_s = times[rref], times[is_grs]
     cf = CountingField(F)
-    rref(Matrix(cf, g.data, cols=n, check=False))
+    rref(Matrix(cf, g.data, cols=n))
     rref_ops, cf.ops = cf.ops, 0
-    is_grs(Matrix(cf, g.data, cols=n, check=False))
+    is_grs(Matrix(cf, g.data, cols=n))
     return {
         "name": f"is_grs [{n},{k}]/GF({q})",
         "grs": verdict.grs,
