@@ -1,20 +1,20 @@
 """Explicit maximal-length non-GRS MDS constructions and the length table.
 
 Each builder returns a ConstructionRecord carrying the construction
-parameters together with two verdicts, both decided from the parameters
-alone.  MDS-ness is a subset certificate on the evaluation points
-(families.mgrs_is_mds, emgrs_is_mds and roth_lempel_is_mds); no
-generator's columns are walked.  GRS-ness of a modified-GRS row is the
-families' curve rule (mgrs_is_grs, emgrs_is_grs).  The Roth-Lempel
-[q+2, 3] code and each punctured [k+3, 3] code behind a twisted-GRS row
-are non-GRS by the same curve argument: at least 3+2 of their columns
-lie on the conic (1, x, x^2), all q+1 points or k+2 >= 6 of them, so in
-a GRS code every column is a multiple of a point of the conic (Dür
-1987); the last column, e_1 + delta * e_2 (delta = 0 here), is 0 in row 0
-and is not e_2, so it is a multiple of none.  A dual row takes both
-verdicts of its primal, since MDS-ness and GRS-ness are closed under
-duality, and a punctured row takes the MDS verdict of the code it is
-punctured from (MacWilliams-Sloane ch. 11).
+parameters, q, k, n and two verdicts, all decided from the parameters
+alone; its generator is built on the first read of its code.  MDS-ness
+is a subset certificate on the evaluation points (families.mgrs_is_mds,
+emgrs_is_mds and roth_lempel_is_mds); no generator's columns are walked.
+GRS-ness of a modified-GRS row is the families' curve rule (mgrs_is_grs,
+emgrs_is_grs).  The Roth-Lempel [q+2, 3] code and each punctured
+[k+3, 3] code behind a twisted-GRS row are non-GRS by the same curve
+argument: at least 3+2 of their columns lie on the conic (1, x, x^2), all
+q+1 points or k+2 >= 6 of them, so in a GRS code every column is a
+multiple of a point of the conic (Dür 1987); the last column,
+e_1 + delta * e_2 (delta = 0 here), is 0 in row 0 and is not e_2, so it
+is a multiple of none.  A dual row takes both verdicts of its primal, since MDS-ness and
+GRS-ness are closed under duality, and a punctured row takes the MDS
+verdict of the code it is punctured from (MacWilliams-Sloane ch. 11).
 All arbitrary choices (non-square element, subspace and coset
 enumeration order) are fixed deterministically from the field's
 primitive element: modified-GRS points are taken from its powers in order
@@ -25,7 +25,9 @@ row's length; table1 only lists the records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property, partial
+from typing import Callable
 
 from .gf import Field, format_element
 from .codes import LinearCode, dual, puncture
@@ -36,17 +38,21 @@ from .families import (MgrsParams, EmgrsParams, RothLempelParams, mgrs_generator
 
 @dataclass(frozen=True)
 class ConstructionRecord:
-    """One constructed code with its parameters and its MDS and GRS
-    verdicts; q, k and n are read from the code."""
+    """One length-table row at one k: its parameters, q, k, n and its MDS
+    and GRS verdicts.  code is built by _build on its first read."""
 
     family: str
     params: dict
-    code: LinearCode
+    q: int
+    k: int
+    n: int
     mds: bool
     grs_verdict: bool
-    q = property(lambda self: self.code.field.q)
-    k = property(lambda self: self.code.k)
-    n = property(lambda self: self.code.n)
+    _build: Callable[[], LinearCode] = dataclass_field(compare=False, repr=False)
+
+    @cached_property
+    def code(self) -> LinearCode:
+        return self._build()
 
     def summary(self) -> str:
         return (f"q={self.q} k={self.k} n={self.n} family={self.family} "
@@ -85,8 +91,8 @@ def _mgrs_record(family: str, p: MgrsParams) -> ConstructionRecord:
         "eta": str(p.eta),
         "t": str(p.t),
     }
-    return ConstructionRecord(family, params, mgrs_generator(p), mgrs_is_mds(p),
-                              mgrs_is_grs(p))
+    return ConstructionRecord(family, params, p.field.q, p.k, p.n, mgrs_is_mds(p),
+                              mgrs_is_grs(p), partial(mgrs_generator, p))
 
 
 def _emgrs_record(family: str, p: EmgrsParams) -> ConstructionRecord:
@@ -96,14 +102,14 @@ def _emgrs_record(family: str, p: EmgrsParams) -> ConstructionRecord:
         "eta": str(p.eta),
         "t": str(p.t),
     }
-    return ConstructionRecord(family, params, emgrs_generator(p), emgrs_is_mds(p),
-                              emgrs_is_grs(p))
+    return ConstructionRecord(family, params, p.field.q, p.k, p.n, emgrs_is_mds(p),
+                              emgrs_is_grs(p), partial(emgrs_generator, p))
 
 
 def _dual_record(family: str, primal: ConstructionRecord) -> ConstructionRecord:
-    code = dual(primal.code)
     params = dict(primal.params, derived=f"dual-of-{primal.family}-k{primal.k}")
-    return ConstructionRecord(family, params, code, primal.mds, primal.grs_verdict)
+    return ConstructionRecord(family, params, primal.q, primal.n - primal.k, primal.n,
+                              primal.mds, primal.grs_verdict, lambda: dual(primal.code))
 
 
 def _primal_or_dual(p: MgrsParams, k: int) -> ConstructionRecord:
@@ -144,26 +150,24 @@ def odd_k3(field: Field, k: int) -> ConstructionRecord:
     return _primal_or_dual(params, k)
 
 
-def _hyperplane(field: Field):
-    # F_2-span of 1, w, ..., w^(s-2): encodings below 2^(s-1)
-    bound = 1 << (field.s - 1)
-    return [x for x in field.powers_of_primitive() if x < bound]
-
-
 def plus_modified(field: Field, k: int, extended: bool) -> ConstructionRecord:
     """Characteristic 2, length (q+2)/2, or (q+4)/2 extended: reciprocals
-    of the nonzero hyperplane elements followed by 0, with 1/eta outside
-    the hyperplane, so no reciprocal subset sum can meet it."""
+    of the nonzero elements of the hyperplane V, the F_2-span of 1, x, ...,
+    x^(s-2) (the encodings below 2^(s-1)), followed by 0, with 1/eta
+    outside V, so no reciprocal subset sum can meet it."""
     q = field.q
     if field.p != 2 or field.s < 2:
         raise ValueError("needs characteristic 2 with s > 1")
     if not 5 <= k <= (q - 4) // 2:
         raise ValueError(f"need 5 <= k <= {(q - 4) // 2}")
-    beta = _hyperplane(field)
-    alpha = [field.inv(b) for b in beta]
+    bound = 1 << (field.s - 1)
+    powers = field.powers_of_primitive()
+    alpha = [field.inv(b) for b in powers if b < bound]
     alpha.append(0)
     n = len(alpha) + 1
-    eta = field.inv(field.pow(field.primitive, field.s - 1))
+    # 1/eta is the first power of w from w^(s-1) on outside V; w^(s-1)
+    # itself lies in V for some w != x (x^9 + x + 1: w^8 = x^7 + 1)
+    eta = field.inv(next(x for x in powers[field.s - 1:] if x >= bound))
     if extended:
         params = EmgrsParams(field, tuple(alpha), (1,) * n, 1, eta, 1, k)
         return _emgrs_record("modified-grs-plus-extended", params)
@@ -173,8 +177,9 @@ def plus_modified(field: Field, k: int, extended: bool) -> ConstructionRecord:
 
 def char2_k4(field: Field, k: int) -> ConstructionRecord:
     """Characteristic 2, length (q+6)/2 for k = 4: reciprocals of the
-    hyperplane coset w^(s-1) + V followed by 0 and 1, eta = 1.  The
-    k = (q-2)/2 row is the dual code."""
+    hyperplane coset x^(s-1) + V followed by 0 and 1, eta = 1, where V is
+    the F_2-span of 1, x, ..., x^(s-2).  The k = (q-2)/2 row is the dual
+    code."""
     q = field.q
     if field.p != 2 or field.s < 3:
         raise ValueError("needs characteristic 2 with s > 2")
@@ -187,44 +192,39 @@ def char2_k4(field: Field, k: int) -> ConstructionRecord:
     return _primal_or_dual(params, k)
 
 
-def _roth_lempel_params(field: Field) -> RothLempelParams:
-    # the [q+2, 3] code on every field element, delta = 0: MDS in
-    # characteristic 2, where no two distinct points sum to 0
-    if field.p != 2:
-        raise ValueError("needs characteristic 2")
-    return RothLempelParams(field, tuple(field.elements()), 0, 3)
-
-
 def ngrs_q2_3(field: Field) -> ConstructionRecord:
     """Characteristic 2, the [q+2, 3] code: squares row extended by two
     unit columns; every field element is an evaluation point."""
-    p = _roth_lempel_params(field)
+    # delta = 0: MDS in characteristic 2, where no two distinct points sum to 0
+    if field.p != 2:
+        raise ValueError("needs characteristic 2")
+    p = RothLempelParams(field, tuple(field.elements()), 0, 3)
     params = {"alpha": _fmt_seq(p.a), "delta": "0"}
-    return ConstructionRecord("roth-lempel", params, roth_lempel_generator(p),
-                              roth_lempel_is_mds(p), False)
+    return ConstructionRecord("roth-lempel", params, field.q, p.k, p.n, roth_lempel_is_mds(p),
+                              False, partial(roth_lempel_generator, p))
 
 
 def tgrs_punctured(field: Field, k: int) -> ConstructionRecord:
     """Characteristic 2, length k+3 for q/2 <= k < q-1: dual of the
     [q+2, 3] code punctured on s-1 evaluation columns and the
     second-to-last unit column, where s = q-1-k."""
-    p = _roth_lempel_params(field)
+    roth_lempel = ngrs_q2_3(field)
     q = field.q
     if not q // 2 <= k < q - 1:
         raise ValueError(f"need {q // 2} <= k <= {q - 2}")
-    return _punctured_record(k, roth_lempel_generator(p), roth_lempel_is_mds(p))
+    return _punctured_record(k, roth_lempel)
 
 
-def _punctured_record(k: int, roth_lempel: LinearCode, mds: bool) -> ConstructionRecord:
-    # mds is the verdict of the [q+2, 3] code roth_lempel; puncturing it
-    # down to length k+3 >= 3 and taking the dual both keep MDS, and the
-    # punctured code, k+2 points and e_1, is non-GRS, so its dual is too
-    q = roth_lempel.field.q
+def _punctured_record(k: int, roth_lempel: ConstructionRecord) -> ConstructionRecord:
+    # puncturing the [q+2, 3] code roth_lempel down to length k+3 >= 3 and
+    # taking the dual both keep its MDS verdict, and the punctured code,
+    # k+2 points and e_1, is non-GRS, so its dual is too
+    q = roth_lempel.q
     s = q - 1 - k
     positions = list(range(1, s)) + [q + 1]
-    punctured = puncture(roth_lempel, positions)
     params = {"derived": f"dual-of-punctured-[{q + 2},3]", "punctured": _fmt_seq(positions)}
-    return ConstructionRecord("twisted-grs", params, dual(punctured), mds, False)
+    return ConstructionRecord("twisted-grs", params, q, k, k + 3, roth_lempel.mds, False,
+                              lambda: dual(puncture(roth_lempel.code, positions)))
 
 
 def table1(field: Field) -> Table1Report:
@@ -247,8 +247,7 @@ def table1(field: Field) -> Table1Report:
         else:
             records += [plus_modified(field, k, extended=True) for k in range(lo, hi + 1)]
         records.append(_dual_record("modified-grs-dual", primal))
-        records += [_punctured_record(k, roth_lempel.code, roth_lempel.mds)
-                    for k in range(q // 2, q - 1)]
+        records += [_punctured_record(k, roth_lempel) for k in range(q // 2, q - 1)]
         records.append(_dual_record("roth-lempel-dual", roth_lempel))
     else:
         primal = odd_k3(field, 3)

@@ -7,6 +7,7 @@ from grskit.constructions import (star_modified, odd_k3, plus_modified,
                                   char2_k4, ngrs_q2_3, tgrs_punctured, table1)
 from grskit.families import RothLempelParams, roth_lempel_generator, roth_lempel_is_mds
 from grskit.grsid import cauchy_test, is_grs
+from grskit.linalg import det, submatrix
 
 from .test_acceptance import _expected_table_rows
 from .test_codes import schur_square_dim
@@ -90,6 +91,36 @@ def test_plus_modified_q32_extended():
     rec = plus_modified(Field(2, 5), 6, extended=True)
     assert rec.n == 18
     assert_nongrs_record(rec)
+
+
+def test_plus_modified_eta_outside_hyperplane_when_x_not_primitive():
+    # under this modulus the primitive element is w = x^2 + x + 1, and
+    # w^7 lies in V, the span of 1, x, ..., x^6; with 1/eta = w^7 all 122
+    # plus records read non-MDS, and the k = 5 record has singular minors
+    # through its special column (index 128) such as the first three
+    # below, on four reciprocals in V summing to w^7; the last minor also
+    # takes the top-coefficient column (index 129)
+    f = Field(2, 8, (1, 0, 1, 1, 1, 1, 0, 1, 1))
+    assert f.primitive == 7 and f.pow(7, 7) < 128
+    plus = [rec for rec in table1(f).records if rec.family.startswith("modified-grs-plus")]
+    assert len(plus) == 122 and all(rec.mds for rec in plus)
+    rec = next(rec for rec in plus if rec.k == 5)
+    for cols in ((13, 17, 72, 108, 128), (8, 46, 97, 102, 128), (6, 15, 32, 63, 128),
+                 (0, 1, 2, 3, 128), (0, 1, 2, 128, 129)):
+        assert det(submatrix(rec.code.gen, range(5), cols)) != 0, cols
+
+
+def test_plus_modified_mds_under_every_modulus():
+    # 1/eta lies outside V for every irreducible modulus, x primitive or not
+    for s in range(4, 10):
+        for low in range(1, 1 << s, 2):
+            mod = tuple((low >> i) & 1 for i in range(s)) + (1,)
+            try:
+                f = Field(2, s, mod)
+            except ValueError:  # reducible
+                continue
+            for extended in (False, True):
+                assert plus_modified(f, 5, extended).mds, (mod, extended)
 
 
 def test_char2_k4_is_exactly_the_worked_f8_code(f8):
@@ -205,6 +236,35 @@ def test_table1_runs_no_rank(monkeypatch, q):
     monkeypatch.setattr(linalg, "rank", lambda m: calls.append(m) or real(m))
     assert table1(field_from_order(q)).records
     assert calls == []
+
+
+
+@pytest.mark.parametrize("q", [8, 9, 16, 25, 27, 32])
+def test_record_shape_matches_its_code(q):
+    # q, k and n are stated from the parameters; the code, built on its
+    # first read and kept, must agree with them on every row, dual and
+    # twisted-GRS rows included
+    for rec in table1(field_from_order(q)).records:
+        code = rec.code
+        assert code is rec.code
+        assert (rec.q, rec.k, rec.n) == (code.field.q, code.k, code.n), rec.summary()
+
+
+@pytest.mark.parametrize("q", [8, 9, 16, 25, 64])
+def test_table1_builds_no_generator(monkeypatch, q):
+    # every record states its shape and verdicts from its parameters
+    from grskit import codes, constructions
+
+    def no_build(*args):
+        raise AssertionError("generator built")
+
+    for name in ("mgrs_generator", "emgrs_generator", "roth_lempel_generator",
+                 "dual", "puncture"):
+        monkeypatch.setattr(constructions, name, no_build)
+    monkeypatch.setattr(codes, "_eval_columns", no_build)
+    f = field_from_order(q)
+    records = table1(f).records
+    assert sorted((rec.k, rec.n) for rec in records) == _expected_table_rows(q, f.p)
 
 
 @pytest.mark.parametrize("q", [8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 49, 64])
