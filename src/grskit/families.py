@@ -5,12 +5,13 @@ modified GRS, the row-removed subcode families (c/d), twisted GRS with a
 constant-coefficient or top-degree hook, Roth-Lempel, and column-twisted
 codes.  The MDS predicates (mgrs_is_mds, emgrs_is_mds and
 roth_lempel_is_mds) decide a subset condition on the evaluation points
-exactly, without building generator matrices.  For the products (t = m),
-the reciprocal sums (t = 1) and the Roth-Lempel point sums a closure
-check comes first: every fold lies in the subgroup generated by the
-nonzero points (plus 0), or in the F_p-span of the summed values, so a
-target outside it is never reached.  Otherwise one DP over the values
-that subsets of the points reach decides; for those three folds they are
+exactly, without building generator matrices.  The products (t = m) and
+the reciprocal sums (t = 1) settle the point 0 up front and fold the
+nonzero points; they and the Roth-Lempel point sums end in one tail,
+_no_fold_reaches: a closure check first (every fold lies in the subgroup
+generated by the nonzero points, or in the F_p-span of the summed
+values, so a target outside it is never reached), then one DP over the
+values that subsets of the points reach.  For those three folds they are
 field elements, so the DP costs O(n·m·q) field operations.  These
 certificates are the only MDS verdicts of the length table.  The DP has
 a budget on the values it holds (_SUBSET_CAP).  The GRS rule
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import Field, INF, proj_inv
+from .gf import Field, INF, batch_inv
 from .linalg import Matrix
 from .codes import LinearCode, GrsSpec, grs_dual_multipliers, _eval_columns, _cols_to_code
 
@@ -387,29 +388,10 @@ def _outside_closure(vals, op, unit, target) -> bool:
     return target not in group
 
 
-def _reciprocal_condition_holds(F: Field, alpha, m, eta) -> bool:
-    # t = 1 fast path: 1/eta != sum of reciprocals over every m-subset,
-    # in projective arithmetic (1/0 = inf, inf + a = inf).
-    target = proj_inv(F, eta)
-    rest = [a for a in alpha if a != 0]
-    has_zero = len(rest) != len(alpha)
-    if has_zero and len(rest) >= m - 1 and target is INF:
-        return False
-    if target is INF or m > len(rest):
-        return True
-    vals = [F.inv(a) for a in rest]
-    if _outside_closure(vals, F.add, 0, target):
-        return True
-    return _no_subset_reaches(vals, m, F.add, 0, target.__eq__)
-
-
-def _product_condition_holds(F: Field, alpha, m, eta) -> bool:
-    # t = m fast path (pi_m = 1): eta != (-1)^(m+1) * prod over m-subsets.
-    sign = F.neg(1) if (m + 1) % 2 else 1
-    target = F.mul(sign, eta)
-    if _outside_closure([a for a in alpha if a != 0], F.mul, 1, target):
-        return True
-    return _no_subset_reaches(list(alpha), m, F.mul, 1, target.__eq__)
+def _no_fold_reaches(vals, m, op, unit, target) -> bool:
+    # the one tail of every field-element fold: the closure check, then the DP
+    return (_outside_closure(vals, op, unit, target)
+            or _no_subset_reaches(vals, m, op, unit, target.__eq__))
 
 
 def _coefficient_condition_holds(F: Field, alpha, m, t, eta) -> bool:
@@ -428,11 +410,19 @@ def _coefficient_condition_holds(F: Field, alpha, m, t, eta) -> bool:
 def _subset_check(F: Field, alpha, m, t, eta) -> bool:
     if m <= 0:
         return True
-    if t == 1:
-        return _reciprocal_condition_holds(F, alpha, m, eta)
-    if t == m:
-        return _product_condition_holds(F, alpha, m, eta)
-    return _coefficient_condition_holds(F, alpha, m, t, eta)
+    if t not in (1, m):
+        return _coefficient_condition_holds(F, alpha, m, t, eta)
+    # an m-subset through 0 sums its reciprocals to inf (t = 1), which is
+    # 1/eta iff eta = 0, or multiplies to 0 (t = m), which is the target
+    # (-1)^(m+1) * eta iff eta = 0; subsets of nonzero points reach
+    # neither, and the parameters hold at least k-1 >= m points
+    if eta == 0:
+        return 0 not in alpha
+    rest = [a for a in alpha if a != 0]
+    if t == 1:  # 1/eta != sum of reciprocals over every m-subset
+        return _no_fold_reaches(batch_inv(F, rest), m, F.add, 0, F.inv(eta))
+    # pi_m = 1: (-1)^(m+1) * eta != product over every m-subset
+    return _no_fold_reaches(rest, m, F.mul, 1, eta if m % 2 else F.neg(eta))
 
 
 def mgrs_is_mds(p: MgrsParams) -> bool:
@@ -453,10 +443,7 @@ def roth_lempel_is_mds(p: RothLempelParams) -> bool:
     Lempel 1989): a k-subset of columns made of e_(k-2) + delta * e_(k-1)
     and k-1 point columns S has minor +-V(S) * (delta - sum(S)), and every
     other k-subset has a nonzero Vandermonde minor."""
-    F = p.field
-    if _outside_closure(p.a, F.add, 0, p.delta):
-        return True
-    return _no_subset_reaches(list(p.a), p.k - 1, F.add, 0, p.delta.__eq__)
+    return _no_fold_reaches(p.a, p.k - 1, p.field.add, 0, p.delta)
 
 
 # ---------------- GRS rule ----------------

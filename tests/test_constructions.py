@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from grskit.gf import Field, field_from_order
@@ -122,6 +124,32 @@ def test_plus_modified_mds_under_every_modulus():
             for extended in (False, True):
                 assert plus_modified(f, 5, extended).mds, (mod, extended)
 
+
+
+def test_records_above_256_have_nonzero_minors_through_special_columns():
+    # is_mds cannot walk codes this long, so explicit minors are the
+    # oracle: k-subsets of columns through the special column (the last,
+    # or the second-to-last before a top-coefficient column), and through
+    # it and the top-coefficient column, each of nonzero det.  Each subset
+    # is two seeded prefixes of points completed by every other point, so
+    # a bad sum or product of the prefix is met whichever point it needs
+    rng = random.Random(22)
+    records = [plus_modified(field_from_order(q), 5, extended)
+               for q in (512, 1024) for extended in (False, True)]
+    records.append(star_modified(field_from_order(729), 6))
+    for rec in records:
+        assert rec.mds and rec.n == rec.code.n, rec.summary()
+        n, k = rec.n, rec.k
+        if rec.family == "modified-grs-plus-extended":
+            special, throughs = n - 2, ((n - 2,), (n - 2, n - 1))
+        else:
+            special, throughs = n - 1, ((n - 1,),)
+        for through in throughs:
+            for _ in range(2):
+                prefix = rng.sample(range(special), k - 1 - len(through))
+                for last in sorted(set(range(special)) - set(prefix)):
+                    cols = sorted(prefix + [last]) + list(through)
+                    assert det(submatrix(rec.code.gen, range(k), cols)) != 0, (rec.summary(), cols)
 
 def test_char2_k4_is_exactly_the_worked_f8_code(f8):
     rec = char2_k4(f8, 4)

@@ -13,18 +13,19 @@ of a seeded random GRS spec (dense, not systematic), for [256,128] over
 GF(257) and [200,50] over GF(256).  Wall times are the median of
 --repeat runs, the two calls taking turns to go first; field-operation
 counts come from one more run of each over grsid.CountingField.  Each
-table1 row, for q = 16, 25, 32, 64, 125 and 243, times `table1 --q <q> --format kv`
-through cli.main (median of --repeat runs) and takes the record count,
-the field-operation count and whether every record reads MDS and non-GRS
-from one more table1 over grsid.CountingField.  The rows are stored
+table1 row, for q = 16, 25, 32, 64, 125, 243, 512 and 1024, times
+`table1 --q <q> --format kv` through cli.main (median of --repeat runs)
+and takes the record count, the field-operation count and whether
+every record reads MDS and non-GRS from one more table1 over
+grsid.CountingField.  The rows are stored
 under --side in --out, and the other sides already in that file are
 kept, so one file holds a parent tree's numbers next to a change's.
 
 The writer uses only grskit's public names, so it runs against any tree
 that has them:
 
-    PYTHONPATH=src python tools/bench_rows.py --side change --out BENCH_21.json
-    PYTHONPATH=<other tree>/src python tools/bench_rows.py --side parent --out BENCH_21.json
+    PYTHONPATH=src python tools/bench_rows.py --side change --out BENCH_22.json
+    PYTHONPATH=<other tree>/src python tools/bench_rows.py --side parent --out BENCH_22.json
 
 Standard library only.
 """
@@ -55,9 +56,10 @@ from grskit.linalg import Matrix, rref
 # (q, n, k): the two is_grs rows of the ROADMAP's north star
 SHAPES = ((257, 256, 128), (256, 200, 50))
 # field orders of the table1 rows: the ROADMAP's north star, 64, 125, the
-# largest odd-extension table up to 128, and 243, the largest below 256
-# and the slowest table up to 256 while every record built its generator
-TABLE_QS = (16, 25, 32, 64, 125, 243)
+# largest odd-extension table up to 128, 243, the largest below 256 and
+# the slowest table up to 256 while every record built its generator, and
+# 512 and 1024, the char-2 tables whose plus rows dominate the largest q
+TABLE_QS = (16, 25, 32, 64, 125, 243, 512, 1024)
 # (p, s, n, k) of the GRS file behind the cli.main row, and the number of
 # calls after the first whose median it reports
 CLI_SHAPE = (2, 4, 10, 4)
