@@ -125,14 +125,13 @@ def test_plus_modified_mds_under_every_modulus():
                 assert plus_modified(f, 5, extended).mds, (mod, extended)
 
 
-
 def test_records_above_256_have_nonzero_minors_through_special_columns():
     # is_mds cannot walk codes this long, so explicit minors are the
     # oracle: k-subsets of columns through the special column (the last,
     # or the second-to-last before a top-coefficient column), and through
-    # it and the top-coefficient column, each of nonzero det.  Each subset
-    # is two seeded prefixes of points completed by every other point, so
-    # a bad sum or product of the prefix is met whichever point it needs
+    # it and the top-coefficient column, each of nonzero det.  Per column
+    # set, two seeded prefixes of points are each completed by every other
+    # point, so a point that would make the subset singular is never missed
     rng = random.Random(22)
     records = [plus_modified(field_from_order(q), 5, extended)
                for q in (512, 1024) for extended in (False, True)]
@@ -150,6 +149,7 @@ def test_records_above_256_have_nonzero_minors_through_special_columns():
                 for last in sorted(set(range(special)) - set(prefix)):
                     cols = sorted(prefix + [last]) + list(through)
                     assert det(submatrix(rec.code.gen, range(k), cols)) != 0, (rec.summary(), cols)
+
 
 def test_char2_k4_is_exactly_the_worked_f8_code(f8):
     rec = char2_k4(f8, 4)
