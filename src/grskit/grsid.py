@@ -426,13 +426,17 @@ def brute_force_recover(code: LinearCode):
 # ---------------- instrumentation and benchmarking ----------------
 
 class CountingField(Field):
-    """A field whose public arithmetic calls are counted."""
+    """A field whose public arithmetic calls are counted.
+
+    No public operation of a Field calls another, so ops grows by exactly
+    one per call of add, sub, neg, mul, inv or pow, on every field.
+    """
 
     __slots__ = ("ops",)
 
     def __init__(self, base: Field):
-        # copy the base field rather than rebuild it: construction calls
-        # pow, which would count before ops exists
+        # copy the base field rather than rebuild it, so its arithmetic
+        # tables are shared, not built again
         for name in Field.__slots__:
             setattr(self, name, getattr(base, name))
         self.ops = 0
@@ -486,11 +490,9 @@ def bench_recover(field: Field, k: int, n_list, trials: int, seed: int = 0):
     Echelonization is done outside the instrumented field, so the counts
     cover exactly recover: the recovery equations and the check of B.
     Every call of a public field operation (add, sub, neg, mul, inv, pow)
-    counts once.  On prime fields inv and pow compute directly, so each is
-    one operation.  On extension fields pow multiplies through the public
-    mul, and inv is pow(a, q-2), so their inner multiplications are
-    counted too.  Returns one row per n with median wall time and median
-    operation count.
+    counts once, on every field: no operation calls another, so an inv or
+    a pow is one operation whatever it costs inside.  Returns one row per
+    n with median wall time and median operation count.
     """
     rng = random.Random(seed)
     rows = []

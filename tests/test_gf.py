@@ -1,9 +1,11 @@
 import importlib.util
+import random
 import time
 from pathlib import Path
 
 import pytest
 
+from grskit import gf
 from grskit.gf import (Field, field_new, field_from_order, INF, is_finite,
                        proj_inv, batch_inv, format_element, parse_element)
 from grskit.grsid import CountingField
@@ -229,3 +231,168 @@ def test_public_names_used_by_tracing():
         for name in names:
             fn = getattr(importlib.import_module(f"grskit.{module}"), name, None)
             assert callable(fn), f"{module}.{name}"
+
+
+# ---------------- log/antilog tables against polynomial arithmetic ----------------
+# The oracle multiplies digit vectors with gf._poly_mul/_poly_mod and adds
+# them digit by digit; it never reads a field's tables.
+
+def _oracle(F):
+    p, s, m = F.p, F.s, F.modulus
+
+    def digits(a):
+        return gf._poly_from_enc(a, p, s)
+
+    def mul(a, b):
+        return gf._poly_to_enc(gf._poly_mod(gf._poly_mul(digits(a), digits(b), p), m, p), p)
+
+    def add(a, b, sign=1):
+        return gf._poly_to_enc([(x + sign * y) % p for x, y in zip(digits(a), digits(b))], p)
+
+    def pow_(a, e):
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError
+            return 1 if e == 0 else 0
+        e %= F.q - 1
+        r = 1
+        while e:
+            if e & 1:
+                r = mul(r, a)
+            a = mul(a, a)
+            e >>= 1
+        return r
+
+    return mul, add, pow_
+
+
+def _check_pow(F, pow_, a):
+    q = F.q
+    for e in (-3, -1, 0, 1, 2, q - 2, q, 3 * q):
+        if a == 0 and e < 0:
+            with pytest.raises(ZeroDivisionError):
+                F.pow(a, e)
+        else:
+            assert F.pow(a, e) == pow_(a, e), (F, a, e)
+
+
+def _monic_irreducibles(p, s):
+    for low in range(p ** s):
+        cand = gf._poly_from_enc(low, p, s) + (1,)
+        if gf._is_irreducible(cand, p):
+            yield cand
+
+
+@pytest.mark.parametrize("p,s", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
+                                 (3, 2), (3, 3), (5, 2), (7, 2)])
+def test_tables_match_polynomial_arithmetic_exhaustive(p, s):
+    # every extension field with q <= 64, under every monic irreducible modulus
+    for modulus in _monic_irreducibles(p, s):
+        F = Field(p, s, modulus)
+        assert F._exp is not None
+        mul, add, pow_ = _oracle(F)
+        q = F.q
+        for a in range(q):
+            assert F.neg(a) == add(0, a, -1)
+            if a:
+                assert F.inv(a) == pow_(a, q - 2) and mul(a, F.inv(a)) == 1
+            _check_pow(F, pow_, a)
+            for b in range(q):
+                assert F.mul(a, b) == mul(a, b), (modulus, a, b)
+                assert F.add(a, b) == add(a, b), (modulus, a, b)
+                assert F.sub(a, b) == add(a, b, -1), (modulus, a, b)
+        w, x, powers = F.primitive, 1, []
+        for _ in range(q - 1):
+            powers.append(x)
+            x = mul(x, w)
+        assert F.powers_of_primitive() == powers and x == 1
+
+
+@pytest.mark.parametrize("q", [256, 243, 125, 729])
+def test_tables_match_polynomial_arithmetic_sampled(q):
+    F = field_from_order(q)
+    assert F._exp is not None
+    mul, add, pow_ = _oracle(F)
+    rng = random.Random(f"tables:{q}")
+    for _ in range(1000):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert F.mul(a, b) == mul(a, b)
+        assert F.add(a, b) == add(a, b)
+        assert F.sub(a, b) == add(a, b, -1)
+        assert F.neg(a) == add(0, a, -1)
+    for _ in range(50):
+        a = rng.randrange(1, q)
+        assert F.inv(a) == pow_(a, q - 2)
+        _check_pow(F, pow_, a)
+    _check_pow(F, pow_, 0)
+    powers = F.powers_of_primitive()
+    assert powers[1] == F.primitive and mul(powers[-1], F.primitive) == 1
+    assert all(mul(x, F.primitive) == y for x, y in zip(powers, powers[1:]))
+    # a new list each time: the caller may change it
+    powers.append(0)
+    assert len(F.powers_of_primitive()) == q - 1
+
+
+def _smallest_above_cap(p):
+    s = 2
+    while p ** s <= gf._TABLE_CAP:
+        s += 1
+    return s
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_field_above_cap_uses_the_kernel_and_counts_one_per_call(p):
+    s = _smallest_above_cap(p)
+    F = field_new(p, s)
+    assert F.q > gf._TABLE_CAP and F._exp is F._log is F._zech is None
+    mul, add, pow_ = _oracle(F)
+    cf = CountingField(F)
+    rng = random.Random(f"above-cap:{p}")
+    calls = 0
+    for _ in range(20):
+        a, b = rng.randrange(1, F.q), rng.randrange(F.q)
+        assert cf.mul(a, b) == mul(a, b)
+        assert cf.add(a, b) == add(a, b)
+        assert cf.sub(a, b) == add(a, b, -1)
+        assert cf.neg(b) == add(0, b, -1)
+        assert cf.inv(a) == pow_(a, F.q - 2)
+        assert cf.pow(a, -3) == pow_(a, -3) and cf.pow(b, F.q) == pow_(b, F.q)
+        calls += 7
+        assert cf.ops == calls
+    powers = cf.powers_of_primitive()
+    assert cf.ops == calls and len(powers) == F.q - 1 and powers[1] == F.primitive
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 256, 243])
+def test_tabled_field_counts_one_per_call(q):
+    cf = CountingField(field_from_order(q))
+    for a in range(1, q):
+        cf.mul(a, a)
+        cf.add(a, 1)
+        cf.sub(1, a)
+        cf.neg(a)
+        cf.inv(a)
+        cf.pow(a, q)
+    assert cf.ops == 6 * (q - 1)
+    cf.powers_of_primitive()
+    assert cf.ops == 6 * (q - 1)
+
+
+def test_tables_are_shared_and_built_once(monkeypatch):
+    f = field_from_order(243)
+    cf = CountingField(f)
+    assert cf._exp is f._exp and cf._log is f._log and cf._zech is f._zech
+    assert field_from_order(256)._zech is None  # characteristic 2 adds by XOR
+    assert Field(7)._exp is None  # prime fields keep no tables
+    builds = []
+    build = Field._build_tables
+
+    def counted(self):
+        builds.append((self.p, self.s))
+        build(self)
+
+    monkeypatch.setattr(gf, "_FIELDS", {})
+    monkeypatch.setattr(Field, "_build_tables", counted)
+    a = field_new(3, 4)
+    assert field_new(3, 4) is a and field_from_order(81) is a
+    assert builds == [(3, 4)]

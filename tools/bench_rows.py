@@ -7,25 +7,25 @@ each one's first call, which builds the parser and the field, and the
 median of CLI_CALLS later calls in this process, which reuse them: what
 a call pays once per process and what it pays every time.  Each field
 row times Field.mul/add/inv on seeded nonzero operands over GF(257),
-GF(256) and GF(3^5), in nanoseconds a call, the least of --repeat runs.  Each is_grs
-row times is_grs and one rref on the same input, the canonical generator
-of a seeded random GRS spec (dense, not systematic), for [256,128] over
-GF(257) and [200,50] over GF(256).  Wall times are the median of
---repeat runs, the two calls taking turns to go first; field-operation
-counts come from one more run of each over grsid.CountingField.  Each
-table1 row, for q = 16, 25, 32, 64, 125, 243, 512 and 1024, times
-`table1 --q <q> --format kv` through cli.main (median of --repeat runs)
-and takes the record count, the field-operation count and whether
-every record reads MDS and non-GRS from one more table1 over
-grsid.CountingField.  The rows are stored
+GF(256) and GF(3^5), in nanoseconds a call, the least of --repeat runs.
+Each is_grs row times is_grs and one rref on the same input, the
+canonical generator of a seeded random GRS spec (dense, not systematic),
+for [256,128] over GF(257) and [200,50] over GF(256) and GF(3^5).  Wall
+times are the median of --repeat runs, the two calls taking turns to go
+first; field-operation counts come from one more run of each over
+grsid.CountingField.  Each table1 row, for q = 16, 25, 32, 64, 125, 243,
+512 and 1024, times `table1 --q <q> --format kv` through cli.main
+(median of --repeat runs) and takes the record count, the
+field-operation count and whether every record reads MDS and non-GRS
+from one more table1 over grsid.CountingField.  The rows are stored
 under --side in --out, and the other sides already in that file are
 kept, so one file holds a parent tree's numbers next to a change's.
 
 The writer uses only grskit's public names, so it runs against any tree
 that has them:
 
-    PYTHONPATH=src python tools/bench_rows.py --side change --out BENCH_22.json
-    PYTHONPATH=<other tree>/src python tools/bench_rows.py --side parent --out BENCH_22.json
+    PYTHONPATH=src python tools/bench_rows.py --side change --out BENCH_23.json
+    PYTHONPATH=<other tree>/src python tools/bench_rows.py --side parent --out BENCH_23.json
 
 Standard library only.
 """
@@ -53,8 +53,9 @@ from grskit.gf import Field, field_from_order
 from grskit.grsid import CountingField, is_grs, random_grs_spec
 from grskit.linalg import Matrix, rref
 
-# (q, n, k): the two is_grs rows of the ROADMAP's north star
-SHAPES = ((257, 256, 128), (256, 200, 50))
+# (q, n, k): the two is_grs rows of the ROADMAP's north star, and the
+# [200,50] row again over the odd extension field GF(3^5)
+SHAPES = ((257, 256, 128), (256, 200, 50), (243, 200, 50))
 # field orders of the table1 rows: the ROADMAP's north star, 64, 125, the
 # largest odd-extension table up to 128, 243, the largest below 256 and
 # the slowest table up to 256 while every record built its generator, and
