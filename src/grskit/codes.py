@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .gf import (Field, INF, is_finite, batch_inv, field_new, format_element,
+from .gf import (Field, INF, is_finite, field_new, format_element,
                  parse_element, _parse_decimal, _parse_modulus)
 from . import linalg
 from .linalg import Matrix
@@ -140,14 +140,14 @@ def grs_dual_multipliers(spec: GrsSpec) -> tuple:
     of GRS(alpha, v): u_i = v_i^-1 * prod_{j != i} (alpha_i - alpha_j)^-1,
     the product over the finite alpha_j, and u = -1/v at infinity."""
     F = spec.field
-    dens = []
+    u = []
     for i, ai in enumerate(spec.alpha):
         prod = 1 if is_finite(ai) else F.neg(1)
         for j, aj in enumerate(spec.alpha):
             if j != i and is_finite(ai) and is_finite(aj):
                 prod = F.mul(prod, F.sub(ai, aj))
-        dens.append(F.mul(spec.v[i], prod))
-    return tuple(batch_inv(F, dens))
+        u.append(F.inv(F.mul(spec.v[i], prod)))
+    return tuple(u)
 
 
 def dual(code: LinearCode) -> LinearCode:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, partial
 from typing import Callable
 
-from .gf import Field, batch_inv, format_element
+from .gf import Field, format_element
 from .codes import LinearCode, dual, puncture
 from .families import (MgrsParams, EmgrsParams, RothLempelParams, mgrs_generator,
                        emgrs_generator, mgrs_is_mds, emgrs_is_mds, mgrs_is_grs,
@@ -162,7 +162,7 @@ def plus_modified(field: Field, k: int, extended: bool) -> ConstructionRecord:
         raise ValueError(f"need 5 <= k <= {(q - 4) // 2}")
     bound = 1 << (field.s - 1)
     powers = field.powers_of_primitive()
-    alpha = batch_inv(field, [b for b in powers if b < bound])
+    alpha = [field.inv(b) for b in powers if b < bound]
     alpha.append(0)
     n = len(alpha) + 1
     # 1/eta is the first power of w from w^(s-1) on outside V; w^(s-1)
@@ -184,7 +184,7 @@ def char2_k4(field: Field, k: int) -> ConstructionRecord:
     if field.p != 2 or field.s < 3:
         raise ValueError("needs characteristic 2 with s > 2")
     bound = 1 << (field.s - 1)
-    alpha = batch_inv(field, [x for x in field.powers_of_primitive() if x >= bound])
+    alpha = [field.inv(x) for x in field.powers_of_primitive() if x >= bound]
     alpha.extend([0, 1])
     n = len(alpha) + 1
     params = MgrsParams(field, tuple(alpha), (1,) * n, 1, 1, 4)

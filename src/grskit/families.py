@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import Field, INF, batch_inv
+from .gf import Field, INF
 from .linalg import Matrix
 from .codes import LinearCode, GrsSpec, grs_dual_multipliers, _eval_columns, _cols_to_code
 
@@ -420,7 +420,7 @@ def _subset_check(F: Field, alpha, m, t, eta) -> bool:
         return 0 not in alpha
     rest = [a for a in alpha if a != 0]
     if t == 1:  # 1/eta != sum of reciprocals over every m-subset
-        return _no_fold_reaches(batch_inv(F, rest), m, F.add, 0, F.inv(eta))
+        return _no_fold_reaches([F.inv(a) for a in rest], m, F.add, 0, F.inv(eta))
     # pi_m = 1: (-1)^(m+1) * eta != product over every m-subset
     return _no_fold_reaches(rest, m, F.mul, 1, eta if m % 2 else F.neg(eta))
 

@@ -331,7 +331,7 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.s == 1:
-            return pow(a, self.p - 2, self.p)
+            return pow(a, -1, self.p)
         if self._exp is None:
             return self._pow(a, self.q - 2)
         return self._exp[self.q - 1 - self._log[a]]
@@ -450,28 +450,6 @@ def proj_inv(field: Field, x):
     if x == 0:
         return INF
     return field.inv(x)
-
-
-def batch_inv(field: Field, xs) -> list:
-    """[field.inv(x) for x in xs] for nonzero xs, by Montgomery's trick
-    (Math. Comp. 1987): prefix products, one inversion of the full
-    product, then a backward pass, 3(m-1) multiplications and one inv for
-    m elements.  A zero entry raises ZeroDivisionError.  Only the public
-    mul and inv are called, so an instrumented field counts every step."""
-    xs = list(xs)
-    if not xs:
-        return []
-    mul = field.mul
-    prefix = [xs[0]]
-    for x in xs[1:]:
-        prefix.append(mul(prefix[-1], x))
-    inv = field.inv(prefix[-1])
-    out = [0] * len(xs)
-    for i in range(len(xs) - 1, 0, -1):
-        out[i] = mul(inv, prefix[i - 1])
-        inv = mul(inv, xs[i])
-    out[0] = inv
-    return out
 
 
 def format_element(x) -> str:

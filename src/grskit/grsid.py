@@ -2,13 +2,13 @@
 
 Given a systematic generator [I | B] of an [n, k] code, the recovery
 routine reconstructs evaluation points and column multipliers in O(nk)
-field operations and O(1) inversions (each loop inverts its denominators
-together), assuming the code is (extended) GRS.  It checks every
-denominator before dividing and every distinctness/nonzero condition
-after, turning any failure into a deterministic non-GRS verdict.  It
-then checks each entry of B against its closed form under the recovered
-spec, which decides GRS-ness exactly for every 0 <= k <= n: every GRS
-verdict carries a spec that regenerates the code.
+field operations and O(n) inversions, assuming the code is (extended)
+GRS.  It checks every denominator before dividing and every
+distinctness/nonzero condition after, in order, turning the first
+failure into a deterministic non-GRS verdict.  It then checks each
+entry of B against its closed form under the recovered spec, which
+decides GRS-ness exactly for every 0 <= k <= n: every GRS verdict
+carries a spec that regenerates the code.
 
 Only the recovery equations depend on k.  For k >= 3 and n - k >= 2
 they work in the chart alpha_1 = 0, alpha_2 = 1, alpha_3 = inf, with one
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from statistics import median
 
-from .gf import Field, INF, is_finite, batch_inv, format_element
+from .gf import Field, INF, is_finite, proj_inv, format_element
 from . import linalg
 from .linalg import Matrix
 from .codes import LinearCode, GrsSpec, grs_generator, grs_dual_multipliers, code_eq
@@ -101,10 +101,9 @@ def _recentre(F: Field, alpha, k: int, c, v):
     finite nonzero value is scaled by (alpha - c)^(k-1); the others keep
     theirs.  Returns (alpha, v)."""
     shifted = [F.sub(a, c) if is_finite(a) else INF for a in alpha]
-    inv = iter(batch_inv(F, [a for a in shifted if a is not INF and a != 0]))
-    out_a = tuple(0 if a is INF else INF if a == 0 else next(inv) for a in shifted)
-    return out_a, tuple(vj if a is INF or a == 0 else F.mul(vj, F.pow(a, k - 1))
-                        for a, vj in zip(shifted, v))
+    return (tuple(proj_inv(F, a) for a in shifted),
+            tuple(vj if a is INF or a == 0 else F.mul(vj, F.pow(a, k - 1))
+                  for a, vj in zip(shifted, v)))
 
 
 def _validate_systematic(m: Matrix):
@@ -137,24 +136,18 @@ def _recover_parts(m: Matrix):
     if v2 == 0:
         raise _Guard(ZERO_MULTIPLIER, "v2")
 
-    # Every guard of a loop runs before its denominators are inverted
-    # together, so the first failing guard is the same as one by one.
     alpha = [None, 0, 1, INF] + [None] * (k - 3)  # 1-based
-    ts, ds = [], []
     for j in range(k + 1, n + 1):
         t = F.mul(v2, B(2, j))
         d = F.add(B(1, j), t)
         if d == 0:
             raise _Guard(ZERO_DENOMINATOR, f"alpha[{j}]")
-        ts.append(t)
-        ds.append(d)
-    alpha += [F.mul(t, d) for t, d in zip(ts, batch_inv(F, ds))]
+        alpha.append(F.mul(t, F.inv(d)))
 
     # alpha_i = (r2 - r1) alpha_{k+1} alpha_{k+2} / (r2 alpha_{k+2} - r1 alpha_{k+1})
     # for r1 = b_{1,k+1} / b_{i,k+1} and r2 = b_{1,k+2} / b_{i,k+2}; both
     # sides are multiplied by b_{i,k+1} b_{i,k+2} to leave one division
     prod = F.mul(alpha[k + 1], alpha[k + 2])
-    nums, ds = [], []
     for i in range(4, k + 1):
         bik1, bik2 = B(i, k + 1), B(i, k + 2)
         if bik1 == 0:
@@ -165,9 +158,7 @@ def _recover_parts(m: Matrix):
         d = F.sub(F.mul(r2, alpha[k + 2]), F.mul(r1, alpha[k + 1]))
         if d == 0:
             raise _Guard(ZERO_DENOMINATOR, f"alpha[{i}]")
-        nums.append(F.mul(F.sub(r2, r1), prod))
-        ds.append(d)
-    alpha[4:k + 1] = [F.mul(x, d) for x, d in zip(nums, batch_inv(F, ds))]
+        alpha[i] = F.mul(F.mul(F.sub(r2, r1), prod), F.inv(d))
     _check_distinct(alpha[1:])
 
     # v_i = D_1 / D_i for v_1 = 1, from column k+1.  l_3 is the monic
@@ -188,7 +179,7 @@ def _recover_parts(m: Matrix):
         return acc
 
     d1 = D(1)
-    v = [None, 1] + [F.mul(d1, x) for x in batch_inv(F, [D(i) for i in range(2, k + 1)])]
+    v = [None, 1] + [F.mul(d1, F.inv(D(i))) for i in range(2, k + 1)]
     # the finite l_i sum to 1, so every later column is v_j = sum v_i b_ij
     for j in range(k + 1, n + 1):
         acc = B(1, j)
@@ -210,11 +201,9 @@ def _recover_line(m: Matrix):
     """k = 2: column j of [I | B] is v_j (1, alpha_j), or v_j (0, 1) at
     alpha_j = inf, so each column reads off its point of PG(1, q)."""
     F = m.field
-    cols = list(zip(*m.data))
-    inv = iter(batch_inv(F, [b1 for b1, _ in cols if b1]))
     alpha, v = [], []
-    for b1, b2 in cols:
-        alpha.append(F.mul(b2, next(inv)) if b1 else INF)
+    for b1, b2 in zip(*m.data):
+        alpha.append(F.mul(b2, F.inv(b1)) if b1 else INF)
         v.append(b1 or b2)
     _check_distinct(alpha)
     _check_multipliers(v)

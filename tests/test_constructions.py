@@ -322,10 +322,32 @@ def test_table1_large_q_rows_mds_and_schur_non_grs(q):
     report = table1(f)
     assert sorted((rec.k, rec.n) for rec in report.records) == _expected_table_rows(q, f.p)
     for rec in report.records:
-        assert rec.mds and rec.grs_verdict is False, rec.summary()
-        side = rec.code if 2 * rec.k <= rec.n else dual(rec.code)
-        assert 2 * side.k - 1 < rec.n
-        assert schur_square_dim(side) > 2 * side.k - 1, rec.summary()
+        _assert_mds_and_schur_non_grs(rec)
+
+
+def _assert_mds_and_schur_non_grs(rec):
+    assert rec.mds and rec.grs_verdict is False, rec.summary()
+    side = rec.code if 2 * rec.k <= rec.n else dual(rec.code)
+    assert 2 * side.k - 1 < rec.n
+    assert schur_square_dim(side) > 2 * side.k - 1, rec.summary()
+
+
+@pytest.mark.parametrize("q", [512, 729, 1024])
+def test_large_q_records_mds_and_schur_non_grs(q):
+    # records with 2k <= n, so no dual is built: the k = 3 and k = 4
+    # primal rows and the two k = 5 plus rows in characteristic 2, the
+    # k = 3 row and the k = 4 and 5 star rows at q = 729; each is also
+    # non-GRS by is_grs on its own generator
+    f = field_from_order(q)
+    if f.p == 2:
+        records = [ngrs_q2_3(f), char2_k4(f, 4), plus_modified(f, 5, extended=True),
+                   plus_modified(f, 5, extended=False)]
+    else:
+        records = [odd_k3(f, 3), star_modified(f, 4), star_modified(f, 5)]
+    for rec in records:
+        assert 2 * rec.k <= rec.n
+        _assert_mds_and_schur_non_grs(rec)
+        assert not is_grs(rec.code.gen).grs, rec.summary()
 
 
 def test_tgrs_punctured_rows(f8):

@@ -7,7 +7,7 @@ import pytest
 
 from grskit import gf
 from grskit.gf import (Field, field_new, field_from_order, INF, is_finite,
-                       proj_inv, batch_inv, format_element, parse_element)
+                       proj_inv, format_element, parse_element)
 from grskit.grsid import CountingField
 
 
@@ -177,27 +177,6 @@ def test_projective_conventions(f11):
         assert (y is INF) if x is INF else (y == x)
     assert not is_finite(INF)
     assert is_finite(0)
-
-
-@pytest.mark.parametrize("q", [2, 7, 8, 9, 25])
-def test_batch_inv_matches_inv(q):
-    f = field_from_order(q)
-    xs = list(f.nonzero())
-    for order in (xs, xs[::-1], xs[:1]):
-        assert batch_inv(f, order) == [f.inv(x) for x in order]
-
-
-def test_batch_inv_edges_and_cost():
-    from grskit.grsid import CountingField
-    f7 = Field(7)
-    assert batch_inv(f7, []) == []
-    for xs in ([0], [3, 0, 5], [1, 2, 0]):
-        with pytest.raises(ZeroDivisionError):
-            batch_inv(f7, xs)
-    # 3(m-1) public muls and one public inv, each counted
-    cf = CountingField(f7)
-    assert batch_inv(cf, range(1, 7)) == [f7.inv(x) for x in range(1, 7)]
-    assert cf.ops == 3 * 5 + 1
 
 
 def test_element_tokens(f11):

@@ -14,7 +14,7 @@ from grskit import grsid
 from grskit.grsid import (trans_to_grs, recover, is_grs, cauchy_test,
                           brute_force_recover, bench_recover, random_grs_spec,
                           CountingField, GrsVerdict, ECHELON_FAIL,
-                          CODE_MISMATCH, ENTRY_ZERO)
+                          CODE_MISMATCH, ENTRY_ZERO, ZERO_DENOMINATOR)
 
 
 # ---------------- trans_to_grs ----------------
@@ -114,6 +114,38 @@ def test_guarded_recover_never_raises():
         verdict = recover(Matrix(f, rows))
         if verdict.grs:
             assert verdict.spec is not None
+
+
+def test_recover_reports_first_failing_guard():
+    # with two failing guards in one loop the verdict names the earlier.
+    # A column j that is a multiple of e_3 has alpha_j denominator
+    # b_1j + v2 b_2j = 0.  A row i whose B part is row 3's has
+    # b_1j / b_ij = c / alpha_j, as at alpha_3 = inf, so alpha_i's
+    # denominator is 0.
+    f = Field(13)
+    k, n = 5, 10
+    m, ok = echelonize(grs_generator(random_grs_spec(f, n, k, random.Random(24))).gen)
+    assert ok and recover(m).grs
+
+    def first_guard(*edits):
+        rows = [list(r) for r in m.data]
+        for i, j, x in edits:  # 1-based, as in the stages
+            rows[i - 1][j - 1] = x
+        verdict = recover(Matrix(f, rows, cols=n))
+        return verdict.reason, verdict.stage
+
+    def copy_row3(i):
+        return [(i, j, m.data[2][j - 1]) for j in range(k + 1, n + 1)]
+
+    assert first_guard(*[(i, j, 0) for i in (1, 2) for j in (k + 4, k + 3)]) == \
+        (ZERO_DENOMINATOR, f"alpha[{k + 3}]")
+    assert first_guard((5, k + 1, 0), (4, k + 1, 0)) == (ENTRY_ZERO, f"b[4][{k + 1}]")
+    # row 4 is checked in full before row 5
+    assert first_guard((5, k + 1, 0), (4, k + 2, 0)) == (ENTRY_ZERO, f"b[4][{k + 2}]")
+    assert first_guard(*copy_row3(5), *copy_row3(4)) == (ZERO_DENOMINATOR, "alpha[4]")
+    # every alpha_j is found before any alpha_i
+    assert first_guard(*copy_row3(4), (1, n, 0), (2, n, 0)) == \
+        (ZERO_DENOMINATOR, f"alpha[{n}]")
 
 
 def test_recover_grs_inputs():
@@ -337,8 +369,8 @@ def test_is_grs_ops_ceiling():
     # The check of B costs exactly 2k(k-1) for the w_i, then 4k per finite
     # column and k per column at infinity.  is_grs adds at most 10kn
     # operations to its rref: that 4kn, 2kn in recovery's two Lagrange
-    # loops, and a few per point for the guards, the batched inversions
-    # and the chart's power of each point.
+    # loops, and a few per point for the guards, the inversions and the
+    # chart's power of each point.
     rng = random.Random(38)
     for q, n, k, with_inf in ((41, 40, 12, False), (32, 30, 8, True), (27, 24, 6, True),
                               (13, 14, 3, True), (243, 16, 5, False), (9, 10, 4, True)):
