@@ -6,7 +6,7 @@ multipliers from any generator matrix.
 """
 
 from .gf import Field, field_new, field_from_order, INF, is_finite, proj_inv
-from .linalg import (Matrix, matmul, echelonize, rref, rank, det, minor,
+from .linalg import (Matrix, matmul, echelonize, rref, rank, det,
                      right_kernel)
 from .codes import (LinearCode, GrsSpec, FormatError, grs_generator,
                     grs_dual_multipliers, dual, puncture, shorten,

@@ -9,13 +9,17 @@ inv, pow) calls another; each calls only private kernels, so a subclass
 that overrides them (an operation counter, say) counts exactly one per
 public call, inv and pow included, on every field.
 
-Prime fields compute modulo p.  An extension field with q up to
-_TABLE_CAP builds log/antilog tables of its primitive element once, when
-it is constructed: mul, inv and pow are single lookups, and odd
-extensions add, subtract and negate through Zech logarithms.  Above the
-cap, mul is polynomial multiplication modulo the modulus, inv and pow
-square-and-multiply over it, and odd extensions add digit by digit in
-base p.  Characteristic 2 adds by XOR at every size.
+Every field with q up to _TABLE_CAP, prime or extension, builds
+log/antilog tables of its primitive element once, when it is
+constructed, and inverts and raises to powers by a single lookup; above
+the cap inv and pow square-and-multiply over the multiplication kernel.
+Extension fields under the cap also multiply by lookup, and odd ones add,
+subtract and negate through Zech logarithms; above it they multiply
+polynomials modulo the modulus and odd ones add digit by digit in base p.
+Prime fields multiply, add, subtract and negate modulo p at every size:
+on GF(257) a modular mul takes about 70 ns against 85 ns by lookup, and a
+Zech add about twice a modular one.  Characteristic 2 adds by XOR at
+every size.
 
 The factories field_new and field_from_order intern their fields: one
 Field object per (p, s, modulus) and process, built on first use, so
@@ -132,9 +136,10 @@ def _is_irreducible(m, p):
     return True
 
 
-# extension fields up to this order build log/antilog tables when they
-# are constructed; the slowest to build, GF(3^8), takes about 0.08 s on an
-# x86-64 Xeon under CPython 3.11, and every other one at most 0.04 s
+# fields up to this order build log/antilog tables when they are
+# constructed; the slowest to build, GF(3^8), takes about 0.08 s on an
+# x86-64 Xeon under CPython 3.11, the largest prime one, GF(8191), about
+# 0.004 s, and every other one at most 0.04 s
 _TABLE_CAP = 1 << 13
 
 
@@ -148,12 +153,14 @@ class Field:
     and irreducible, each coefficient an int in 0..p-1: none is reduced
     mod p.
 
-    An extension field (s > 1) with q <= _TABLE_CAP also builds, once,
-    the tables behind its arithmetic: _exp[i] = w^i for 0 <= i <= 2q-3
-    (two periods, so a sum of two logs indexes it unreduced), _log, the
-    inverse of _exp on the nonzero elements, and for odd p
+    A field with q <= _TABLE_CAP also builds, once, the tables behind its
+    arithmetic: _exp[i] = w^i for 0 <= i <= 2q-3 (two periods, so a sum of
+    two logs indexes it unreduced) and _log, the inverse of _exp on the
+    nonzero elements.  An odd extension (s > 1, p odd) also builds
     _zech[d] = log(1 + w^d), or -1 at d = (q-1)/2 where 1 + w^d = 0, also
     two periods long, so that any difference of two logs indexes it.
+    Prime fields use the tables only for inv, pow and
+    powers_of_primitive: their modular mul and add are faster.
     """
 
     __slots__ = ("p", "s", "q", "modulus", "primitive", "_mod_int",
@@ -182,7 +189,7 @@ class Field:
         self._mod_int = _poly_to_enc(modulus, p) if p == 2 else 0
         self.primitive = self._find_primitive()
         self._exp = self._log = self._zech = None
-        if s > 1 and self.q <= _TABLE_CAP:
+        if self.q <= _TABLE_CAP:
             self._build_tables()
 
     def _find_modulus(self):
@@ -212,7 +219,7 @@ class Field:
         log = [None] * self.q
         for i, x in enumerate(exp):
             log[x] = i
-        if p != 2:
+        if p != 2 and self.s > 1:
             # 1 + x differs from x only in the constant digit
             zech = [log[y] if (y := x - x % p + (x + 1) % p) else -1 for x in exp]
             self._zech = zech + zech
@@ -222,9 +229,9 @@ class Field:
     # -- kernels: the public operations below call these, never each other --
 
     def _mul(self, a, b):
-        """a*b by polynomial multiplication modulo the modulus (shift and
-        XOR in characteristic 2): it builds _exp, and it multiplies in
-        extension fields above the cap."""
+        """a*b modulo p in a prime field, else by polynomial multiplication
+        modulo the modulus (shift and XOR in characteristic 2): it builds
+        _exp, and it multiplies in extension fields above the cap."""
         p = self.p
         if self.s == 1:
             return (a * b) % p
@@ -245,7 +252,9 @@ class Field:
         return _poly_to_enc(_poly_mod(_poly_mul(da, db, p), self.modulus, p), p)
 
     def _pow(self, a, e):
-        """a**e for 0 <= e, square-and-multiply over _mul."""
+        """a**e for 0 <= e, square-and-multiply over _mul (built-in pow in a
+        prime field): it finds the primitive element, and it inverts and
+        raises to powers in fields above the cap."""
         if self.s == 1:
             return pow(a, e, self.p)
         r = 1
@@ -317,7 +326,7 @@ class Field:
         return self._exp[self._log[a] + (self.q >> 1)]
 
     def mul(self, a, b):
-        if self.s == 1:
+        if self.s == 1:  # faster than the lookup; see the module docstring
             return (a * b) % self.p
         exp = self._exp
         if exp is None:
@@ -330,8 +339,6 @@ class Field:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self.s == 1:
-            return pow(a, -1, self.p)
         if self._exp is None:
             return self._pow(a, self.q - 2)
         return self._exp[self.q - 1 - self._log[a]]
@@ -345,8 +352,6 @@ class Field:
                 raise ZeroDivisionError("inverse of zero")
             return 0
         e %= self.q - 1
-        if self.s == 1:
-            return pow(a, e, self.p)
         if self._exp is None:
             return self._pow(a, e)
         return self._exp[self._log[a] * e % (self.q - 1)]

@@ -88,10 +88,6 @@ def submatrix(m: Matrix, row_idx, col_idx) -> Matrix:
     return _matrix(m.field, rows, len(col_idx))
 
 
-def is_zero(m: Matrix) -> bool:
-    return all(e == 0 for r in m.data for e in r)
-
-
 def _eliminate(m: Matrix):
     """Forward Gaussian elimination, the one pivoting loop of this module.
 
@@ -174,14 +170,6 @@ def det(m: Matrix):
         raise ValueError("determinant of a non-square matrix")
     _, pivots, d = _eliminate(m)
     return d if len(pivots) == m.rows else 0
-
-
-def minor(m: Matrix, row_idx, col_idx):
-    row_idx = tuple(row_idx)
-    col_idx = tuple(col_idx)
-    if len(row_idx) != len(col_idx):
-        raise ValueError("minor needs equal-size index sets")
-    return det(submatrix(m, row_idx, col_idx))
 
 
 def right_kernel(m: Matrix) -> Matrix:

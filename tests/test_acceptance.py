@@ -6,7 +6,7 @@ import random
 import time
 
 from grskit.gf import Field, field_from_order
-from grskit.linalg import Matrix, matmul, is_zero, echelonize
+from grskit.linalg import Matrix, matmul, echelonize
 from grskit.codes import (LinearCode, GrsSpec, grs_generator,
                           grs_dual_multipliers, puncture, shorten,
                           min_distance, is_mds, code_eq)
@@ -144,7 +144,7 @@ def test_criterion_6_duals():
             params = TgrsParams(f, alpha, v, rng.randrange(1, q), hook, k)
             g = tgrs_generator(params)
             h = tgrs_dual_parity(params)
-            assert is_zero(matmul(g.gen, h.transpose()))
+            assert not any(map(any, matmul(g.gen, h.transpose()).data))
     for _ in range(100):
         q = rng.choice((7, 8, 9, 11, 13, 16))
         f = field_from_order(q)
@@ -154,7 +154,7 @@ def test_criterion_6_duals():
         u = grs_dual_multipliers(spec)
         g = grs_generator(spec)
         h = grs_generator(GrsSpec(f, spec.alpha, u, n - k))
-        assert is_zero(matmul(g.gen, h.gen.transpose()))
+        assert not any(map(any, matmul(g.gen, h.gen.transpose()).data))
 
 
 def _mds_oracle(builder):

@@ -121,8 +121,9 @@ def test_table1_text_output(capsys):
 
 
 # SHA-256 of `table1 --q <q> --format kv` for every prime power
-# 8 <= q <= 128, pinned so that a change to how the records are decided
-# cannot change a byte of the table
+# 8 <= q <= 128 and for q = 256, 343, 512, 625, 729 and 1024 (the six
+# together take about 1.5 s), pinned so that a change to how the records
+# are decided or how the field computes cannot change a byte of the table
 TABLE1_KV_SHA256 = {
     8: "a83431626f907974b5eefb6f366dbe5c8ddcf809e33604f87fbf059fad09a579",
     9: "379133d88d5ef8d06c749f76a0910e1e157ddf49852e4b1cbaf1aa9eef3a09d3",
@@ -163,6 +164,12 @@ TABLE1_KV_SHA256 = {
     125: "3606ce7aafac3a822a52b2ee7107c4ee5ec836c7fe6e857260ac30acecc9b38e",
     127: "94e9921e29148113747adf1173c0fcc5205ac8ac0215d34e3f0deeadb79864f4",
     128: "ca3ed959d46989a557791a24f2f7dbea3d26057c983122c3fa99155da6797f6f",
+    256: "5bbb9c99732401200220cc2a175f6227567ba2264e80199a39cc68c35c81dc1a",
+    343: "2b8bd3af64efc4b6f5f0545eabd4cc0787a0f19e31e880832d82a04b23b7d897",
+    512: "6dd7b786686e9fe7ef0df8b6412d8e38fd754042b28742bedb1eca8c4319a476",
+    625: "f37d129dc61c0ac408f836fd0fc0ca382cc36b2b3a19b0b84ca70bb92e2c5de9",
+    729: "4c0fb9068c5b95ab0d15eeb02777788c64c5df28b26256b7b88d79b9649b07be",
+    1024: "1682606eff760dfc4a1b90ff53e0fd04dc4c239fa1cac90f90ff54a77ee4ae08",
 }
 
 

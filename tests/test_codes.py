@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from grskit.gf import Field, field_from_order, INF
-from grskit.linalg import Matrix, matmul, is_zero, rank, det, submatrix
+from grskit.linalg import Matrix, matmul, rank, det, submatrix
 from grskit.codes import (LinearCode, GrsSpec, FormatError, grs_generator,
                           grs_dual_multipliers, dual, puncture, shorten,
                           min_distance, is_mds, code_eq,
@@ -96,7 +96,7 @@ def test_dual_multipliers_orthogonality_and_dual_code(f11):
         u = grs_dual_multipliers(spec)
         g = grs_generator(spec)
         h = grs_generator(GrsSpec(f11, spec.alpha, u, n - k))
-        assert is_zero(matmul(g.gen, h.gen.transpose()))
+        assert not any(map(any, matmul(g.gen, h.gen.transpose()).data))
         assert code_eq(dual(g), h)
 
 

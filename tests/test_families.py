@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from grskit.gf import Field, INF, field_from_order
-from grskit.linalg import Matrix, matmul, is_zero, rank
+from grskit.linalg import Matrix, matmul, rank
 from grskit.codes import (LinearCode, GrsSpec, grs_generator, dual, puncture,
                           shorten, min_distance, is_mds, code_eq)
 from grskit.families import (MgrsParams, EmgrsParams, TgrsParams,
@@ -271,7 +271,7 @@ def test_tgrs_dual_parity_orthogonal(hook):
         p = TgrsParams(f, alpha, v, rng.randrange(1, q), hook, k)
         g = tgrs_generator(p)
         h = tgrs_dual_parity(p)
-        assert is_zero(matmul(g.gen, h.transpose()))
+        assert not any(map(any, matmul(g.gen, h.transpose()).data))
         assert code_eq(LinearCode(f, h), dual(g))
 
 

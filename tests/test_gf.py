@@ -287,7 +287,7 @@ def test_tables_match_polynomial_arithmetic_exhaustive(p, s):
         assert F.powers_of_primitive() == powers and x == 1
 
 
-@pytest.mark.parametrize("q", [256, 243, 125, 729])
+@pytest.mark.parametrize("q", [256, 243, 125, 729, 13, 257, 8191])
 def test_tables_match_polynomial_arithmetic_sampled(q):
     F = field_from_order(q)
     assert F._exp is not None
@@ -313,13 +313,13 @@ def test_tables_match_polynomial_arithmetic_sampled(q):
 
 
 def _smallest_above_cap(p):
-    s = 2
+    s = 1
     while p ** s <= gf._TABLE_CAP:
         s += 1
     return s
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 8209])
 def test_field_above_cap_uses_the_kernel_and_counts_one_per_call(p):
     s = _smallest_above_cap(p)
     F = field_new(p, s)
@@ -342,7 +342,7 @@ def test_field_above_cap_uses_the_kernel_and_counts_one_per_call(p):
     assert cf.ops == calls and len(powers) == F.q - 1 and powers[1] == F.primitive
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 25, 256, 243])
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 256, 243, 13, 257, 8191])
 def test_tabled_field_counts_one_per_call(q):
     cf = CountingField(field_from_order(q))
     for a in range(1, q):
@@ -362,7 +362,8 @@ def test_tables_are_shared_and_built_once(monkeypatch):
     cf = CountingField(f)
     assert cf._exp is f._exp and cf._log is f._log and cf._zech is f._zech
     assert field_from_order(256)._zech is None  # characteristic 2 adds by XOR
-    assert Field(7)._exp is None  # prime fields keep no tables
+    f7 = Field(7)  # prime fields invert by lookup but add modulo p
+    assert f7._exp is not None and f7._log is not None and f7._zech is None
     builds = []
     build = Field._build_tables
 
