@@ -230,9 +230,11 @@ def _weight_distribution(F: Field, rows, n: int) -> list:
     Every nonzero message is a nonzero scalar times (m', a), where m' on
     the first k - 1 rows is zero or has leading coefficient 1, and a
     scalar keeps the weight.  The prefixes m' are walked depth first, one
-    row update c + m·r_i per node.  At a prefix codeword c the weights of
-    all q words c + a·r_k come from one histogram of the roots
-    a = -c_j/r_kj; a position with r_kj = 0 is zero iff c_j = 0.
+    row update c - m·r_i per node, one Field.axpy call; m runs over every
+    nonzero element, so the children are those of c + m·r_i.  At a
+    prefix codeword c the weights of all q words c + a·r_k come from one
+    histogram of the roots a = -c_j/r_kj; a position with r_kj = 0 is
+    zero iff c_j = 0.
     Scaling column j by -1/r_kj and moving the support of r_k to the
     front keeps every weight and makes each root the entry c_j itself.
     """
@@ -247,7 +249,7 @@ def _weight_distribution(F: Field, rows, n: int) -> list:
     scale = [F.neg(F.inv(last[j])) for j in front]
     head = [[F.mul(r[j], t) if r[j] else 0 for j, t in zip(front, scale)]
             + [r[j] for j in range(n) if not last[j]] for r in head]
-    add, mul = F.add, F.mul
+    axpy = F.axpy
 
     def walk(c, i):
         if i == len(head):
@@ -260,7 +262,7 @@ def _weight_distribution(F: Field, rows, n: int) -> list:
         r = head[i]
         walk(c, i + 1)
         for m in range(1, q):
-            walk([add(x, mul(m, y)) if y else x for x, y in zip(c, r)], i + 1)
+            walk(axpy(c, m, r), i + 1)
 
     for i, r in enumerate(head):
         walk(r, i + 1)
@@ -317,15 +319,16 @@ def _columns_independent(F: Field, cols, k: int) -> bool:
     columns, in the k - d coordinates that have no pivot yet: the Schur
     complement.  Choosing the next column picks its first nonzero
     coordinate p as a pivot, scales it by one inverse and eliminates p
-    from each later column.  A later column that reduces to zero closes a
-    dependent set of at most k columns, which lies in some k-subset, so
-    the walk stops there.  At depth k - 1 that zero check is the leaf.
+    from each later column, one Field.axpy call each.  A later column
+    that reduces to zero closes a dependent set of at most k columns,
+    which lies in some k-subset, so the walk stops there.  At depth
+    k - 1 that zero check is the leaf.
     """
     if k == 0:
         return True
     if not all(any(g) for g in cols):
         return False
-    mul, sub = F.mul, F.sub
+    mul, axpy = F.mul, F.axpy
 
     def walk(rest, left):
         for i in range(len(rest) - left + 1):
@@ -338,7 +341,7 @@ def _columns_independent(F: Field, cols, k: int) -> bool:
                 c = g[p]
                 g = g[:p] + g[p + 1:]
                 if c:
-                    g = [sub(x, mul(c, y)) if y else x for x, y in zip(g, r)]
+                    g = axpy(g, c, r)
                     if not any(g):
                         return False
                 later.append(g)

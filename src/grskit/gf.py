@@ -5,9 +5,15 @@ encoding are the coefficients of the representing polynomial in the
 residue class of x, constant term least significant.  An encoding is
 meaningful only relative to one Field instance; all arithmetic goes
 through the Field's methods.  No public operation (add, sub, neg, mul,
-inv, pow) calls another; each calls only private kernels, so a subclass
-that overrides them (an operation counter, say) counts exactly one per
-public call, inv and pow included, on every field.
+inv, pow and the row operation axpy) calls another; each calls only
+private kernels, so a subclass that overrides them (an operation
+counter, say) counts exactly one per public scalar call, inv and pow
+included, on every field, and 2 per nonzero entry of y for axpy(x, f, y),
+the sub and mul per entry that it replaces.
+
+axpy(x, f, y) is the row update x - f*y of elimination and of the weight
+walk (Lin–Costello ch. 2): one call per row, with the per-field set-up
+(log f, log(-f)) done once per row rather than once per entry.
 
 Every field with q up to _TABLE_CAP, prime or extension, builds
 log/antilog tables of its primitive element once, when it is
@@ -355,6 +361,44 @@ class Field:
         if self._exp is None:
             return self._pow(a, e)
         return self._exp[self._log[a] * e % (self.q - 1)]
+
+    # -- row operation --
+
+    def axpy(self, x, f, y):
+        """The row x - f*y as a new list, for rows x and y of equal length
+        and f != 0; an entry where y is 0 keeps x's entry.  It stands for
+        one sub and one mul per nonzero entry of y, and is counted so."""
+        if self.s == 1:
+            p = self.p
+            return [(a - f * b) % p for a, b in zip(x, y)]
+        exp = self._exp
+        if exp is None:
+            mul = self._mul
+            if self.p == 2:
+                return [a ^ mul(f, b) if b else a for a, b in zip(x, y)]
+            sub = self._add_digits
+            return [sub(a, mul(f, b), -1) if b else a for a, b in zip(x, y)]
+        log = self._log
+        if self.p == 2:
+            lf = log[f]
+            return [a ^ exp[lf + log[b]] if b else a for a, b in zip(x, y)]
+        # -f*b = w^(ln + log b) with ln = log(-f), and a - f*b =
+        # w^la·(1 + w^(ln + log b - la)); that difference lies in
+        # -(q-2)..2(q-2), and a negative index reads the same two-period
+        # _zech from its end, which is congruent mod q-1
+        zech = self._zech
+        ln = (log[f] + (self.q >> 1)) % (self.q - 1)
+        out = []
+        for a, b in zip(x, y):
+            if not b:
+                out.append(a)
+            elif not a:
+                out.append(exp[ln + log[b]])
+            else:
+                la = log[a]
+                z = zech[ln + log[b] - la]
+                out.append(exp[la + z] if z >= 0 else 0)
+        return out
 
     # -- element utilities --
 

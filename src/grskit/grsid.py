@@ -418,7 +418,9 @@ class CountingField(Field):
     """A field whose public arithmetic calls are counted.
 
     No public operation of a Field calls another, so ops grows by exactly
-    one per call of add, sub, neg, mul, inv or pow, on every field.
+    one per call of add, sub, neg, mul, inv or pow, on every field, and by
+    2 for each nonzero entry of y per axpy(x, f, y): the sub and mul per
+    entry that the row operation replaces.
     """
 
     __slots__ = ("ops",)
@@ -453,6 +455,10 @@ class CountingField(Field):
     def pow(self, a, e):
         self.ops += 1
         return super().pow(a, e)
+
+    def axpy(self, x, f, y):
+        self.ops += 2 * (len(y) - y.count(0))
+        return super().axpy(x, f, y)
 
 
 def random_grs_spec(field: Field, n: int, k: int, rng: random.Random,

@@ -7,8 +7,9 @@ field's methods, so an instrumented field sees every operation.
 One elimination kernel, _eliminate (forward elimination to a unit-pivot
 echelon form), serves everything: rank is its pivot count, det its signed
 pivot product, rref adds back-substitution, and echelonize is rref plus
-the check that the pivots fill the leading columns.  Row updates skip the
-zero entries of the pivot row.
+the check that the pivots fill the leading columns.  Every row update,
+row i minus f times the pivot row, is one Field.axpy call, which skips
+the zero entries of the pivot row.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def _eliminate(m: Matrix):
     determinant when m is square and every column has a pivot.
     """
     F = m.field
-    mul, sub = F.mul, F.sub
+    mul, axpy = F.mul, F.axpy
     a = [list(r) for r in m.data]
     k = len(a)
     pivots = []
@@ -124,7 +125,7 @@ def _eliminate(m: Matrix):
         for i in range(r + 1, k):
             f = a[i][c]
             if f:
-                a[i] = [sub(x, mul(f, y)) if y else x for x, y in zip(a[i], row)]
+                a[i] = axpy(a[i], f, row)
         pivots.append(c)
     return a, tuple(pivots), d
 
@@ -132,7 +133,7 @@ def _eliminate(m: Matrix):
 def rref(m: Matrix):
     """General reduced row echelon form.  Returns (M, pivot_columns)."""
     F = m.field
-    mul, sub = F.mul, F.sub
+    axpy = F.axpy
     a, pivots, _ = _eliminate(m)
     # back-substitution, bottom pivot first, so that no cleared entry refills
     for r in range(len(pivots) - 1, 0, -1):
@@ -140,7 +141,7 @@ def rref(m: Matrix):
         for i in range(r):
             f = a[i][c]
             if f:
-                a[i] = [sub(x, mul(f, y)) if y else x for x, y in zip(a[i], row)]
+                a[i] = axpy(a[i], f, row)
     return _matrix(F, a, m.cols), pivots
 
 

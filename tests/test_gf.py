@@ -319,6 +319,49 @@ def _smallest_above_cap(p):
     return s
 
 
+# ---------------- the row operation axpy against the scalar operations ----------------
+
+def _axpy_oracle(F, x, f, y):
+    return [F.sub(a, F.mul(f, b)) for a, b in zip(x, y)]
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 13, 25])
+def test_axpy_matches_scalar_ops_exhaustive(q):
+    # every f and every entry pair (a, b): zeros in x and y, f = 1, f = -1
+    # and exact cancellation a = f*b among them
+    F = field_from_order(q)
+    x = [a for a in range(q) for _ in range(q)]
+    y = [b for _ in range(q) for b in range(q)]
+    x0, y0 = list(x), list(y)
+    for f in range(1, q):
+        out = F.axpy(x, f, y)
+        assert out == _axpy_oracle(F, x, f, y), (q, f)
+        assert out is not x and x == x0 and y == y0
+        assert out.count(0) == q  # one cancelling a per b
+
+
+@pytest.mark.parametrize("p,s", [(2, 8), (3, 5), (3, 8), (257, 1), (8191, 1),
+                                 (2, _smallest_above_cap(2)), (3, _smallest_above_cap(3)),
+                                 (8209, 1)])
+def test_axpy_matches_scalar_ops_sampled(p, s):
+    # tabled char-2, odd-extension (GF(3^8) the largest odd table) and
+    # prime fields, and the fields just above the cap
+    F = field_new(p, s)
+    assert (F._exp is None) == (F.q > gf._TABLE_CAP)
+    q = F.q
+    rng = random.Random(f"axpy:{q}")
+    for _ in range(40):
+        x = [rng.randrange(q) if rng.random() < 0.8 else 0 for _ in range(60)]
+        y = [rng.randrange(q) if rng.random() < 0.8 else 0 for _ in range(60)]
+        f = rng.choice((1, F.neg(1), rng.randrange(1, q)))
+        # exact cancellation in the first entry: a = f*b
+        y[0] = rng.randrange(1, q)
+        x[0] = F.mul(f, y[0])
+        out = F.axpy(x, f, y)
+        assert out == _axpy_oracle(F, x, f, y), (F, f)
+        assert out[0] == 0
+
+
 @pytest.mark.parametrize("p", [2, 3, 8209])
 def test_field_above_cap_uses_the_kernel_and_counts_one_per_call(p):
     s = _smallest_above_cap(p)
@@ -338,6 +381,15 @@ def test_field_above_cap_uses_the_kernel_and_counts_one_per_call(p):
         assert cf.pow(a, -3) == pow_(a, -3) and cf.pow(b, F.q) == pow_(b, F.q)
         calls += 7
         assert cf.ops == calls
+    # axpy counts 2 per nonzero entry of y, never also its scalar parts:
+    # the base body calls only the private kernels
+    for _ in range(20):
+        x = [rng.randrange(F.q) for _ in range(8)]
+        y = [rng.randrange(F.q) if rng.random() < 0.7 else 0 for _ in range(8)]
+        f = rng.randrange(1, F.q)
+        assert cf.axpy(x, f, y) == [add(a, mul(f, b), -1) for a, b in zip(x, y)]
+        calls += 2 * sum(1 for b in y if b)
+        assert cf.ops == calls
     powers = cf.powers_of_primitive()
     assert cf.ops == calls and len(powers) == F.q - 1 and powers[1] == F.primitive
 
@@ -355,6 +407,11 @@ def test_tabled_field_counts_one_per_call(q):
     assert cf.ops == 6 * (q - 1)
     cf.powers_of_primitive()
     assert cf.ops == 6 * (q - 1)
+    # 2 per nonzero entry of y: q - 1 of the q entries of range(q)
+    row = list(range(q))
+    for f in (1, q - 1, cf.primitive):
+        cf.axpy(row, f, row)
+    assert cf.ops == 6 * (q - 1) + 3 * 2 * (q - 1)
 
 
 def test_tables_are_shared_and_built_once(monkeypatch):

@@ -388,6 +388,25 @@ def test_is_grs_ops_ceiling():
         assert cf.ops == 2 * k * (k - 1) + 4 * k * (n - k - at_inf) + k * at_inf
 
 
+@pytest.mark.parametrize("q,n,k,rref_ops,is_grs_ops", [
+    (257, 256, 128, 5587203, 5752693),
+    (256, 200, 50, 826593, 882629),
+    (243, 200, 50, 827659, 883695),
+])
+def test_bench_row_op_counts_are_pinned(q, n, k, rref_ops, is_grs_ops):
+    # the is_grs rows of tools/bench_rows.py (SHAPES, SEED = 13): rows
+    # updated through Field.axpy count 2 per nonzero entry of the pivot
+    # row, exactly the sub and mul per entry of the scalar loop before it
+    f = field_from_order(q)
+    g = grs_generator(random_grs_spec(f, n, k, random.Random(13))).gen
+    cf = CountingField(f)
+    rref(Matrix(cf, g.data, cols=n))
+    assert cf.ops == rref_ops
+    cf.ops = 0
+    assert is_grs(Matrix(cf, g.data, cols=n)).grs
+    assert cf.ops == is_grs_ops
+
+
 def test_is_grs_echelon_failure_verdict(f11):
     rows = [[0, 1, 0, 2, 3, 4], [0, 0, 1, 5, 6, 7], [0, 0, 0, 1, 1, 1]]
     m = Matrix(f11, rows)

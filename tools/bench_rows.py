@@ -1,5 +1,5 @@
-"""Write the ROADMAP's end-to-end rows (cli.main, is_grs, table1) and its
-field arithmetic rows to a BENCH JSON file.
+"""Write the ROADMAP's end-to-end rows (cli.main, is_grs, table1), its
+field arithmetic rows and its min_distance row to a BENCH JSON file.
 
 The cli.main row times `check --kind is-grs` on one small GRS file,
 [10,4] over GF(16): the median over --repeat fresh Python processes of
@@ -13,8 +13,11 @@ canonical generator of a seeded random GRS spec (dense, not systematic),
 for [256,128] over GF(257) and [200,50] over GF(256) and GF(3^5).  Wall
 times are the median of --repeat runs, the two calls taking turns to go
 first; field-operation counts come from one more run of each over
-grsid.CountingField.  Each table1 row, for q = 16, 25, 32, 64, 125, 243,
-512 and 1024, times `table1 --q <q> --format kv` through cli.main
+grsid.CountingField.  The min_distance row times min_distance on the
+generator of a seeded GRS [16,6] code over GF(16), whose weight walk
+updates one row per node (median of --repeat runs), and counts its
+field operations over grsid.CountingField.  Each table1 row, for q =
+16, 25, 32, 64, 125, 243, 512 and 1024, times `table1 --q <q> --format kv` through cli.main
 (median of --repeat runs) and takes the record count, the
 field-operation count and whether every record reads MDS and non-GRS
 from one more table1 over grsid.CountingField.  The rows are stored
@@ -47,7 +50,7 @@ from statistics import median
 
 import grskit
 from grskit.cli import main as cli_main
-from grskit.codes import grs_generator, write_matrix_file
+from grskit.codes import LinearCode, grs_generator, min_distance, write_matrix_file
 from grskit.constructions import table1
 from grskit.gf import Field, field_from_order
 from grskit.grsid import CountingField, is_grs, random_grs_spec
@@ -56,6 +59,9 @@ from grskit.linalg import Matrix, rref
 # (q, n, k): the two is_grs rows of the ROADMAP's north star, and the
 # [200,50] row again over the odd extension field GF(3^5)
 SHAPES = ((257, 256, 128), (256, 200, 50), (243, 200, 50))
+# (q, n, k) of the min_distance row: a GRS code, so d = n - k + 1; its
+# walk takes 0.3-0.4 s on a shared 2-vCPU x86-64 host, [16,5] only 0.03 s
+DIST_SHAPE = (16, 16, 6)
 # field orders of the table1 rows: the ROADMAP's north star, 64, 125, the
 # largest odd-extension table up to 128, 243, the largest below 256 and
 # the slowest table up to 256 while every record built its generator, and
@@ -181,6 +187,28 @@ def bench_row(q: int, n: int, k: int, repeat: int) -> dict:
     }
 
 
+def distance_row(repeat: int) -> dict:
+    q, n, k = DIST_SHAPE
+    F = field_from_order(q)
+    code = grs_generator(random_grs_spec(F, n, k, random.Random(SEED)))
+    times, dists = [], set()
+    for _ in range(repeat):
+        t, d = _timed(min_distance, code)
+        times.append(t)
+        dists.add(d)
+    cf = CountingField(F)
+    counted = LinearCode(cf, Matrix(cf, code.gen.data))
+    cf.ops = 0  # count min_distance only, not the constructor's rank check
+    dists.add(min_distance(counted))
+    return {
+        "name": f"min_distance GRS [{n},{k}]/GF({q})",
+        "repeat": repeat,
+        "min_distance_s": round(median(times), 4),
+        "ops": cf.ops,
+        "mds": dists == {n - k + 1},
+    }
+
+
 def table_row(q: int, repeat: int) -> dict:
     argv = ["table1", "--q", str(q), "--format", "kv"]
     times = []
@@ -214,6 +242,7 @@ def main(argv=None) -> int:
     rows = [cli_row(args.repeat)]
     rows += [field_row(q, args.repeat) for q in FIELD_QS]
     rows += [bench_row(q, n, k, args.repeat) for q, n, k in SHAPES]
+    rows.append(distance_row(args.repeat))
     rows += [table_row(q, args.repeat) for q in TABLE_QS]
     try:
         with open(args.out) as fh:
