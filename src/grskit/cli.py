@@ -30,33 +30,29 @@ FAMILIES = ("grs", "egrs", "mgrs", "emgrs", "tgrs0", "tgrs-top",
             "roth-lempel", "col-twisted", "c-code", "d-code")
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _field_from_args(args) -> Field:
     # "is not None", not truthiness: --q 0 and --s 0 are given, and invalid
     if args.q is not None:
         if (args.p, args.s, args.mod) != (None, None, None):
-            raise UsageError("--q excludes --p, --s and --mod")
+            raise ValueError("--q excludes --p, --s and --mod")
         return field_from_order(args.q)
     if args.p is not None:
         mod = None if args.mod is None else _parse_modulus(args.mod)
         return field_new(args.p, 1 if args.s is None else args.s, mod)
-    raise UsageError("specify --q or --p/--s")
+    raise ValueError("specify --q or --p/--s")
 
 
 def _positions(text: str):
     try:
         return [_parse_decimal(t) for t in text.split(",")]
     except ValueError:
-        raise UsageError(f"bad position list {text!r}") from None
+        raise ValueError(f"bad position list {text!r}") from None
 
 
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
-            raise UsageError(f"--{name.replace('_', '-')} is required for this family")
+            raise ValueError(f"--{name.replace('_', '-')} is required for this family")
 
 
 def _build_family(field: Field, args) -> LinearCode:
@@ -65,17 +61,17 @@ def _build_family(field: Field, args) -> LinearCode:
     fam, n, k = args.family, args.n, args.k
     q = field.q
     if n is None or k is None:
-        raise UsageError("--n and --k are required")
+        raise ValueError("--n and --k are required")
     if n < 0 or k < 0:
-        raise UsageError("--n and --k must be >= 0")
+        raise ValueError("--n and --k must be >= 0")
     ones = lambda m: (1,) * m
     if fam == "grs":
         if n > q:
-            raise UsageError("grs needs n <= q")
+            raise ValueError("grs needs n <= q")
         return grs_generator(GrsSpec(field, tuple(range(n)), ones(n), k))
     if fam == "egrs":
         if n > q + 1:
-            raise UsageError("egrs needs n <= q+1")
+            raise ValueError("egrs needs n <= q+1")
         alpha = tuple(range(n - 1)) + (INF,)
         return grs_generator(GrsSpec(field, alpha, ones(n), k))
     if fam == "mgrs":
@@ -97,15 +93,13 @@ def _build_family(field: Field, args) -> LinearCode:
     if fam == "col-twisted":
         _require(args, "lam")
         if not 1 <= n <= q - 1:
-            raise UsageError("col-twisted needs 1 <= n <= q-1")
+            raise ValueError("col-twisted needs 1 <= n <= q-1")
         return col_twisted_generator(field, tuple(range(2, n + 1)), 0, 1, args.lam, k)
     if fam == "c-code":
         _require(args, "t")
         return c_code_generator(field, tuple(range(n)), args.t, k)
-    if fam == "d-code":
-        _require(args, "t")
-        return d_code_generator(field, tuple(range(n - 1)), args.t, k)
-    raise UsageError(f"unknown family {args.family!r}")
+    _require(args, "t")  # d-code, the last of argparse's choices
+    return d_code_generator(field, tuple(range(n - 1)), args.t, k)
 
 
 def cmd_field(args) -> int:
@@ -127,8 +121,6 @@ def _emit(code: LinearCode, out) -> int:
 
 def cmd_construct(args) -> int:
     field = _field_from_args(args)
-    if args.family not in FAMILIES:
-        raise UsageError(f"--family must be one of {', '.join(FAMILIES)}")
     return _emit(_build_family(field, args), args.out)
 
 
@@ -142,11 +134,9 @@ def cmd_check(args) -> int:
         print("verdict=cauchy" if grsid.cauchy_test(m) else "verdict=non-cauchy")
     elif args.kind == "mds":
         print("verdict=mds" if is_mds(LinearCode(m.field, m)) else "verdict=not-mds")
-    elif args.kind == "min-dist":
+    else:  # min-dist, the last of argparse's choices
         code = LinearCode(m.field, m)
         print(f"min_distance={min_distance(code)} n={code.n} k={code.k}")
-    else:
-        raise UsageError(f"unknown check kind {args.kind!r}")
     return 0
 
 
@@ -168,11 +158,9 @@ def cmd_transform(args) -> int:
     elif args.op == "puncture":
         _require(args, "pos")
         out = puncture(code, _positions(args.pos))
-    elif args.op == "shorten":
+    else:  # shorten, the last of argparse's choices
         _require(args, "pos")
         out = shorten(code, _positions(args.pos))
-    else:
-        raise UsageError(f"unknown transform {args.op!r}")
     return _emit(out, args.out)
 
 
@@ -196,7 +184,7 @@ def cmd_table1(args) -> int:
 def cmd_bench(args) -> int:
     field = _field_from_args(args)
     if args.k is None or not args.n:
-        raise UsageError("--k and --n are required")
+        raise ValueError("--k and --n are required")
     ns = _positions(args.n)
     rows = grsid.bench_recover(field, args.k, ns, args.trials, seed=args.seed)
     for row in rows:
@@ -223,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a family generator matrix")
     add_field_opts(p)
-    p.add_argument("--family", required=True)
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--t", type=int)
@@ -288,7 +276,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -84,26 +84,17 @@ def _fmt_seq(xs) -> str:
     return ",".join(format_element(x) for x in xs)
 
 
-def _mgrs_record(family: str, p: MgrsParams) -> ConstructionRecord:
-    params = {
-        "alpha": _fmt_seq(p.alpha),
-        "v": _fmt_seq(p.v),
-        "eta": str(p.eta),
-        "t": str(p.t),
-    }
-    return ConstructionRecord(family, params, p.field.q, p.k, p.n, mgrs_is_mds(p),
-                              mgrs_is_grs(p), partial(mgrs_generator, p))
-
-
-def _emgrs_record(family: str, p: EmgrsParams) -> ConstructionRecord:
-    params = {
-        "alpha": _fmt_seq(p.alpha),
-        "v": _fmt_seq(p.v + (p.v_ext,)),
-        "eta": str(p.eta),
-        "t": str(p.t),
-    }
-    return ConstructionRecord(family, params, p.field.q, p.k, p.n, emgrs_is_mds(p),
-                              emgrs_is_grs(p), partial(emgrs_generator, p))
+def _modified_record(family: str, p) -> ConstructionRecord:
+    # the record of p, an MgrsParams or an EmgrsParams, whose v gains the
+    # extended column's multiplier; names are read at call time, so a
+    # patched certificate is the one used
+    if isinstance(p, EmgrsParams):
+        v, is_mds, is_grs, build = p.v + (p.v_ext,), emgrs_is_mds, emgrs_is_grs, emgrs_generator
+    else:
+        v, is_mds, is_grs, build = p.v, mgrs_is_mds, mgrs_is_grs, mgrs_generator
+    params = {"alpha": _fmt_seq(p.alpha), "v": _fmt_seq(v), "eta": str(p.eta), "t": str(p.t)}
+    return ConstructionRecord(family, params, p.field.q, p.k, p.n, is_mds(p), is_grs(p),
+                              partial(build, p))
 
 
 def _dual_record(family: str, primal: ConstructionRecord) -> ConstructionRecord:
@@ -116,7 +107,7 @@ def _primal_or_dual(p: MgrsParams, k: int) -> ConstructionRecord:
     # the modified-GRS row of p, or at k = n - p.k its dual row
     if k not in (p.k, p.n - p.k):
         raise ValueError(f"k must be {p.k} or {p.n - p.k}")
-    primal = _mgrs_record("modified-grs", p)
+    primal = _modified_record("modified-grs", p)
     return primal if k == p.k else _dual_record("modified-grs-dual", primal)
 
 
@@ -135,7 +126,7 @@ def star_modified(field: Field, k: int) -> ConstructionRecord:
     assert field.pow(eta_prime, (q - 1) // 2) == field.neg(1)
     eta = eta_prime if k % 2 == 0 else field.neg(eta_prime)
     params = MgrsParams(field, tuple(alpha), (1,) * n, eta, k - 1, k)
-    return _mgrs_record("modified-grs-star", params)
+    return _modified_record("modified-grs-star", params)
 
 
 def odd_k3(field: Field, k: int) -> ConstructionRecord:
@@ -170,9 +161,9 @@ def plus_modified(field: Field, k: int, extended: bool) -> ConstructionRecord:
     eta = field.inv(next(x for x in powers[field.s - 1:] if x >= bound))
     if extended:
         params = EmgrsParams(field, tuple(alpha), (1,) * n, 1, eta, 1, k)
-        return _emgrs_record("modified-grs-plus-extended", params)
+        return _modified_record("modified-grs-plus-extended", params)
     params = MgrsParams(field, tuple(alpha), (1,) * n, eta, 1, k)
-    return _mgrs_record("modified-grs-plus", params)
+    return _modified_record("modified-grs-plus", params)
 
 
 def char2_k4(field: Field, k: int) -> ConstructionRecord:
@@ -207,11 +198,11 @@ def tgrs_punctured(field: Field, k: int) -> ConstructionRecord:
     """Characteristic 2, length k+3 for q/2 <= k < q-1: dual of the
     [q+2, 3] code punctured on s-1 evaluation columns and the
     second-to-last unit column, where s = q-1-k."""
-    roth_lempel = ngrs_q2_3(field)
     q = field.q
+    # the range check first: the [q+2, 3] record costs an O(q^2) certificate
     if not q // 2 <= k < q - 1:
         raise ValueError(f"need {q // 2} <= k <= {q - 2}")
-    return _punctured_record(k, roth_lempel)
+    return _punctured_record(k, ngrs_q2_3(field))
 
 
 def _punctured_record(k: int, roth_lempel: ConstructionRecord) -> ConstructionRecord:

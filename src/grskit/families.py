@@ -93,13 +93,11 @@ class EmgrsParams:
         object.__setattr__(self, "v", tuple(self.v))
         if self.k > self.n - 1:
             raise ValueError("need k <= n-1")
-        self.base()  # validates the shared fields
+        # validates the fields shared with MgrsParams
+        MgrsParams(self.field, self.alpha, self.v, self.eta, self.t, self.k)
         self.field.check(self.v_ext)
         if self.v_ext == 0:
             raise ValueError("multipliers must be nonzero")
-
-    def base(self) -> MgrsParams:
-        return MgrsParams(self.field, self.alpha, self.v, self.eta, self.t, self.k)
 
     @property
     def n(self) -> int:

@@ -11,9 +11,10 @@ counter, say) counts exactly one per public scalar call, inv and pow
 included, on every field, and 2 per nonzero entry of y for axpy(x, f, y),
 the sub and mul per entry that it replaces.
 
-axpy(x, f, y) is the row update x - f*y of elimination and of the weight
-walk (Lin–Costello ch. 2): one call per row, with the per-field set-up
-(log f, log(-f)) done once per row rather than once per entry.
+axpy(x, f, y) is the row update x - f*y of elimination, of matmul and of
+the weight walk (Lin–Costello ch. 2): one call per row, with the
+per-field set-up (log f, log(-f)) done once per row rather than once per
+entry.
 
 Every field with q up to _TABLE_CAP, prime or extension, builds
 log/antilog tables of its primitive element once, when it is

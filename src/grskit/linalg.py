@@ -9,7 +9,8 @@ echelon form), serves everything: rank is its pivot count, det its signed
 pivot product, rref adds back-substitution, and echelonize is rref plus
 the check that the pivots fill the leading columns.  Every row update,
 row i minus f times the pivot row, is one Field.axpy call, which skips
-the zero entries of the pivot row.
+the zero entries of the pivot row; matmul builds each output row the same
+way, one axpy by -x per nonzero entry x of a's row.
 """
 
 from __future__ import annotations
@@ -70,16 +71,14 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     F = a.field
-    bt = list(zip(*b.data))
+    neg, axpy = F.neg, F.axpy
+    zero = [0] * b.cols
     out = []
     for ar in a.data:
-        row = []
-        for bc in bt:
-            acc = 0
-            for x, y in zip(ar, bc):
-                if x and y:
-                    acc = F.add(acc, F.mul(x, y))
-            row.append(acc)
+        row = zero
+        for x, bi in zip(ar, b.data):
+            if x:
+                row = axpy(row, neg(x), bi)
         out.append(row)
     return _matrix(F, out, b.cols)
 

@@ -360,6 +360,19 @@ def test_tgrs_punctured_rows(f8):
     assert_nongrs_record(rec)
 
 
+def test_tgrs_punctured_checks_k_before_building(monkeypatch):
+    # an out-of-range k is refused before the [q+2, 3] record and its
+    # O(q^2) certificate are built
+    from grskit import constructions
+
+    def refuse(*args):
+        raise AssertionError("certificate built for an out-of-range k")
+    monkeypatch.setattr(constructions, "roth_lempel_is_mds", refuse)
+    for k in (7, 15):
+        with pytest.raises(ValueError, match="need 8 <= k <= 14"):
+            tgrs_punctured(Field(2, 4), k)
+
+
 def test_parameter_range_errors():
     with pytest.raises(ValueError):
         star_modified(Field(2, 4), 5)       # even characteristic

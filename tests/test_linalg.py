@@ -4,6 +4,7 @@ from itertools import permutations, product
 import pytest
 
 from grskit.gf import Field, field_from_order
+from grskit.grsid import CountingField
 from grskit.linalg import (Matrix, matmul, submatrix,
                            echelonize, rref, rank, det, right_kernel)
 from .conftest import COUNTEREXAMPLE_ROWS
@@ -153,6 +154,55 @@ def test_matmul_shape_errors(f11):
     f5 = Field(5)
     with pytest.raises(ValueError):
         matmul(a, Matrix(f5, [[1], [2]]))
+
+
+def _sparse_matrix(field, rows, cols, rng):
+    # about a third of the entries zero, and row 0 (when there is one) all zero
+    data = [[rng.randrange(1, field.q) if rng.random() < 2 / 3 else 0 for _ in range(cols)]
+            for _ in range(rows)]
+    if data:
+        data[0] = [0] * cols
+    return Matrix(field, data, cols=cols)
+
+
+def _matmul_oracle(a, b):
+    F = a.field
+    out = []
+    for ar in a.data:
+        row = []
+        for j in range(b.cols):
+            acc = 0
+            for x, bi in zip(ar, b.data):
+                acc = F.add(acc, F.mul(x, bi[j]))
+            row.append(acc)
+        out.append(row)
+    return Matrix(F, out, cols=b.cols)
+
+
+# GF(8209), GF(2^14) and GF(3^9) lie above the table cap
+@pytest.mark.parametrize("p,s", [(11, 1), (2, 4), (3, 2), (8209, 1), (2, 14), (3, 9)])
+def test_matmul_matches_entrywise_sums(p, s):
+    f = Field(p, s)
+    rng = random.Random(f"matmul:{f.q}")
+    for r, m, c in ((3, 4, 5), (1, 1, 1), (4, 2, 3), (2, 6, 1), (3, 0, 4), (0, 3, 2)):
+        a = _sparse_matrix(f, r, m, rng)
+        b = _sparse_matrix(f, m, c, rng)
+        assert matmul(a, b) == _matmul_oracle(a, b), (r, m, c)
+
+
+def test_matmul_counts_one_neg_and_one_axpy_per_nonzero_entry():
+    # each nonzero a_ri costs one neg and an axpy by b's row i, which
+    # counts 2 per nonzero entry of that row
+    rng = random.Random(7)
+    for q in (11, 16, 9):
+        cf = CountingField(field_from_order(q))
+        a = _sparse_matrix(cf, 5, 6, rng)
+        b = _sparse_matrix(cf, 6, 7, rng)
+        want = sum(1 + 2 * sum(1 for y in b.data[i] if y)
+                   for ar in a.data for i, x in enumerate(ar) if x)
+        cf.ops = 0
+        matmul(a, b)
+        assert cf.ops == want
 
 
 def test_rref_pivots(f11):
