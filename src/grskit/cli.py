@@ -49,10 +49,11 @@ def _positions(text: str):
         raise ValueError(f"bad position list {text!r}") from None
 
 
-def _require(args, *names):
+def _require(args, context, *names):
+    # names are argparse dests, each its option's name but --lambda's (lam)
     for name in names:
-        if getattr(args, name, None) is None:
-            raise ValueError(f"--{name.replace('_', '-')} is required for this family")
+        if getattr(args, name) is None:
+            raise ValueError(f"--{'lambda' if name == 'lam' else name} is required for {context}")
 
 
 def _build_family(field: Field, args) -> LinearCode:
@@ -75,15 +76,15 @@ def _build_family(field: Field, args) -> LinearCode:
         alpha = tuple(range(n - 1)) + (INF,)
         return grs_generator(GrsSpec(field, alpha, ones(n), k))
     if fam == "mgrs":
-        _require(args, "eta", "t")
+        _require(args, f"--family {fam}", "eta", "t")
         return mgrs_generator(MgrsParams(field, tuple(range(n - 1)), ones(n),
                                          args.eta, args.t, k))
     if fam == "emgrs":
-        _require(args, "eta", "t")
+        _require(args, f"--family {fam}", "eta", "t")
         return emgrs_generator(EmgrsParams(field, tuple(range(n - 2)), ones(n - 1), 1,
                                            args.eta, args.t, k))
     if fam in ("tgrs0", "tgrs-top"):
-        _require(args, "lam")
+        _require(args, f"--family {fam}", "lam")
         hook = TWIST_ZERO if fam == "tgrs0" else TWIST_TOP
         alpha = tuple(range(1, n))  # nonzero points keep the zero-hook dual closed-form valid
         return tgrs_generator(TgrsParams(field, alpha, ones(n), args.lam, hook, k))
@@ -91,14 +92,14 @@ def _build_family(field: Field, args) -> LinearCode:
         delta = args.delta if args.delta is not None else 0
         return roth_lempel_generator(RothLempelParams(field, tuple(range(n - 2)), delta, k))
     if fam == "col-twisted":
-        _require(args, "lam")
+        _require(args, f"--family {fam}", "lam")
         if not 1 <= n <= q - 1:
             raise ValueError("col-twisted needs 1 <= n <= q-1")
         return col_twisted_generator(field, tuple(range(2, n + 1)), 0, 1, args.lam, k)
     if fam == "c-code":
-        _require(args, "t")
+        _require(args, f"--family {fam}", "t")
         return c_code_generator(field, tuple(range(n)), args.t, k)
-    _require(args, "t")  # d-code, the last of argparse's choices
+    _require(args, f"--family {fam}", "t")  # d-code, the last of argparse's choices
     return d_code_generator(field, tuple(range(n - 1)), args.t, k)
 
 
@@ -155,12 +156,9 @@ def cmd_transform(args) -> int:
     code = LinearCode(m.field, m)
     if args.op == "dual":
         out = dual(code)
-    elif args.op == "puncture":
-        _require(args, "pos")
-        out = puncture(code, _positions(args.pos))
-    else:  # shorten, the last of argparse's choices
-        _require(args, "pos")
-        out = shorten(code, _positions(args.pos))
+    else:  # puncture or shorten, the rest of argparse's choices
+        _require(args, f"--op {args.op}", "pos")
+        out = (puncture if args.op == "puncture" else shorten)(code, _positions(args.pos))
     return _emit(out, args.out)
 
 

@@ -1,26 +1,24 @@
 """Explicit maximal-length non-GRS MDS constructions and the length table.
 
-Each builder returns a ConstructionRecord carrying the construction
-parameters, q, k, n and two verdicts, all decided from the parameters
-alone; its generator is built on the first read of its code.  MDS-ness
-is a subset certificate on the evaluation points (families.mgrs_is_mds,
-emgrs_is_mds and roth_lempel_is_mds); no generator's columns are walked.
-GRS-ness of a modified-GRS row is the families' curve rule (mgrs_is_grs,
-emgrs_is_grs).  The Roth-Lempel [q+2, 3] code and each punctured
-[k+3, 3] code behind a twisted-GRS row are non-GRS by the same curve
-argument: at least 3+2 of their columns lie on the conic (1, x, x^2), all
-q+1 points or k+2 >= 6 of them, so in a GRS code every column is a
-multiple of a point of the conic (Dür 1987); the last column,
-e_1 + delta * e_2 (delta = 0 here), is 0 in row 0 and is not e_2, so it
-is a multiple of none.  A dual row takes both verdicts of its primal, since MDS-ness and
-GRS-ness are closed under duality, and a punctured row takes the MDS
-verdict of the code it is punctured from (MacWilliams-Sloane ch. 11).
-All arbitrary choices (non-square element, subspace and coset
-enumeration order) are fixed deterministically from the field's
-primitive element: modified-GRS points are taken from its powers in order
-(Field.powers_of_primitive), so records are reproducible byte for byte.
-Each row is stated once, by its builder, whose point set fixes the
-row's length; table1 only lists the records.
+A ConstructionRecord carries its parameters, q, k, n and two verdicts, all
+decided from the parameters; its generator is built on the first read of
+its code.  MDS-ness is a subset certificate on the evaluation points
+(families.mgrs_is_mds, emgrs_is_mds and roth_lempel_is_mds); no columns
+are walked.  GRS-ness of a modified-GRS row is the curve rule
+(families.mgrs_is_grs, emgrs_is_grs).  The Roth-Lempel [q+2, 3] code and
+each punctured [k+3, 3] code behind a twisted-GRS row are non-GRS by the
+same argument: at least 5 of their columns (all q+1 points, or k+2 >= 6
+of them) lie on the conic (1, x, x^2), so in a GRS code every column is a
+multiple of a point of it (Dür 1987), and the last column, e_1 + delta *
+e_2 (delta = 0 here), is 0 in row 0 and is not e_2.  A dual row takes both
+verdicts of its primal (MDS-ness and GRS-ness are closed under duality),
+and a punctured row the MDS verdict of its [q+2, 3] code
+(MacWilliams-Sloane ch. 11).  Every arbitrary choice is fixed by the
+field's primitive element (modified-GRS points are slices of its powers),
+so records are reproducible byte for byte.  Each row is stated once, by
+its row helper, which states its k-range once and whose points fix its
+length; the per-k builders look their record up in it through one k-range
+check, and table1 only lists the records.
 """
 
 from __future__ import annotations
@@ -32,8 +30,8 @@ from typing import Callable
 from .gf import Field, format_element
 from .codes import LinearCode, dual, puncture
 from .families import (MgrsParams, EmgrsParams, RothLempelParams, mgrs_generator,
-                       emgrs_generator, mgrs_is_mds, emgrs_is_mds, mgrs_is_grs,
-                       emgrs_is_grs, roth_lempel_generator, roth_lempel_is_mds)
+                       emgrs_generator, roth_lempel_generator, roth_lempel_is_mds,
+                       _curve_rule, _fold, _no_subset_reaches, _outside_closure)
 
 
 @dataclass(frozen=True)
@@ -60,17 +58,10 @@ class ConstructionRecord:
                 f"grs={'grs' if self.grs_verdict else 'non-grs'}")
 
     def kv_block(self) -> str:
-        lines = [
-            f"family={self.family}",
-            f"q={self.q}",
-            f"k={self.k}",
-            f"n={self.n}",
-            f"is_mds={'true' if self.mds else 'false'}",
-            f"is_grs={'true' if self.grs_verdict else 'false'}",
-        ]
-        for key, val in self.params.items():
-            lines.append(f"{key}={val}")
-        return "\n".join(lines)
+        return "\n".join([f"family={self.family}", f"q={self.q}", f"k={self.k}", f"n={self.n}",
+                          f"is_mds={'true' if self.mds else 'false'}",
+                          f"is_grs={'true' if self.grs_verdict else 'false'}",
+                          *(f"{key}={val}" for key, val in self.params.items())])
 
 
 @dataclass
@@ -84,17 +75,31 @@ def _fmt_seq(xs) -> str:
     return ",".join(format_element(x) for x in xs)
 
 
-def _modified_record(family: str, p) -> ConstructionRecord:
-    # the record of p, an MgrsParams or an EmgrsParams, whose v gains the
-    # extended column's multiplier; names are read at call time, so a
-    # patched certificate is the one used
-    if isinstance(p, EmgrsParams):
-        v, is_mds, is_grs, build = p.v + (p.v_ext,), emgrs_is_mds, emgrs_is_grs, emgrs_generator
-    else:
-        v, is_mds, is_grs, build = p.v, mgrs_is_mds, mgrs_is_grs, mgrs_generator
-    params = {"alpha": _fmt_seq(p.alpha), "v": _fmt_seq(v), "eta": str(p.eta), "t": str(p.t)}
-    return ConstructionRecord(family, params, p.field.q, p.k, p.n, is_mds(p), is_grs(p),
-                              partial(build, p))
+def _modified_row(family: str, params) -> Callable[[int], ConstructionRecord]:
+    # the record maker of a modified-GRS row, whose params(k) validates its
+    # MgrsParams or EmgrsParams at k.  Every k of a row has the same points
+    # and folds the same values towards the same target (families._fold),
+    # so alpha and v are formatted and the fold's closure is computed once a
+    # row, on its first record; where the closure does not decide, each
+    # record runs the DP at its sizes k-1 (and k-2 with the extended column)
+    shared = None
+
+    def make(k: int) -> ConstructionRecord:
+        nonlocal shared
+        p = params(k)
+        extended = isinstance(p, EmgrsParams)
+        if shared is None:
+            fold = _fold(p.field, p.alpha, k - 1, p.t, p.eta)
+            v = p.v + (p.v_ext,) if extended else p.v
+            shared = _fmt_seq(p.alpha), _fmt_seq(v), fold, _outside_closure(*fold)
+        alpha, v, (vals, op, unit, target), outside = shared
+        mds = outside or all(_no_subset_reaches(vals, m, op, unit, target.__eq__)
+                             for m in ((k - 1, k - 2) if extended else (k - 1,)))
+        return ConstructionRecord(family, {"alpha": alpha, "v": v, "eta": str(p.eta),
+                                           "t": str(p.t)}, p.field.q, k, p.n, mds,
+                                  _curve_rule(p, lambda _: mds),
+                                  partial(emgrs_generator if extended else mgrs_generator, p))
+    return make
 
 
 def _dual_record(family: str, primal: ConstructionRecord) -> ConstructionRecord:
@@ -103,42 +108,73 @@ def _dual_record(family: str, primal: ConstructionRecord) -> ConstructionRecord:
                               primal.mds, primal.grs_verdict, lambda: dual(primal.code))
 
 
-def _primal_or_dual(p: MgrsParams, k: int) -> ConstructionRecord:
-    # the modified-GRS row of p, or at k = n - p.k its dual row
-    if k not in (p.k, p.n - p.k):
-        raise ValueError(f"k must be {p.k} or {p.n - p.k}")
-    primal = _modified_record("modified-grs", p)
-    return primal if k == p.k else _dual_record("modified-grs-dual", primal)
+def _dual_row(k: int, n: int, make) -> tuple:
+    # make's record at k, made on first use and kept, and its dual at n - k
+    primal = None
+
+    def record(j: int) -> ConstructionRecord:
+        nonlocal primal
+        primal = primal or make(k)
+        return primal if j == k else _dual_record("modified-grs-dual", primal)
+    return (k, n - k), record
+
+
+def _lookup(row, k: int) -> ConstructionRecord:
+    # the one k-range check of the per-k builders; row is (k-range, maker)
+    ks, make = row
+    if k not in ks:
+        raise ValueError(f"need {ks.start} <= k <= {ks.stop - 1}" if isinstance(ks, range)
+                         else f"k must be {ks[0]} or {ks[1]}")
+    return make(k)
+
+
+def _star_row(field: Field):
+    if field.p == 2:
+        raise ValueError("needs odd characteristic")
+    alpha = tuple(field.powers_of_primitive()[2::2] + [1, 0])
+    ones = (1,) * (len(alpha) + 1)
+    eta = field.primitive  # a generator is never a square
+    assert field.pow(eta, (field.q - 1) // 2) == field.neg(1)
+    return range(4, len(ones) - 1), _modified_row("modified-grs-star", lambda k: MgrsParams(
+        field, alpha, ones, eta if k % 2 == 0 else field.neg(eta), k - 1, k))
 
 
 def star_modified(field: Field, k: int) -> ConstructionRecord:
     """Odd characteristic, length (q+3)/2: evaluation points are the
     squares followed by 0, and (-1)^k * eta is a non-square, so no product
     of k-1 points can meet the threshold."""
-    q = field.q
+    return _lookup(_star_row(field), k)
+
+
+def _odd_k3_row(field: Field):
     if field.p == 2:
         raise ValueError("needs odd characteristic")
-    n = (q + 3) // 2
-    if not 4 <= k <= n - 2:
-        raise ValueError(f"need 4 <= k <= {n - 2}")
-    alpha = field.powers_of_primitive()[2::2] + [1, 0]
-    eta_prime = field.primitive  # a generator is never a square
-    assert field.pow(eta_prime, (q - 1) // 2) == field.neg(1)
-    eta = eta_prime if k % 2 == 0 else field.neg(eta_prime)
-    params = MgrsParams(field, tuple(alpha), (1,) * n, eta, k - 1, k)
-    return _modified_record("modified-grs-star", params)
+    alpha = tuple(field.powers_of_primitive()[1:(field.q + 1) // 2] + [1, 0])
+    n = len(alpha) + 1
+    return _dual_row(3, n, _modified_row("modified-grs", partial(
+        MgrsParams, field, alpha, (1,) * n, field.neg(1), 2)))
 
 
 def odd_k3(field: Field, k: int) -> ConstructionRecord:
     """Odd characteristic, length (q+5)/2 for k = 3; the k = (q-1)/2 row is
     the dual code."""
-    q = field.q
-    if field.p == 2:
-        raise ValueError("needs odd characteristic")
-    n = (q + 5) // 2
-    alpha = field.powers_of_primitive()[1:(q + 1) // 2] + [1, 0]
-    params = MgrsParams(field, tuple(alpha), (1,) * n, field.neg(1), 2, 3)
-    return _primal_or_dual(params, k)
+    return _lookup(_odd_k3_row(field), k)
+
+
+def _plus_row(field: Field, extended: bool):
+    if field.p != 2 or field.s < 2:
+        raise ValueError("needs characteristic 2 with s > 1")
+    bound = 1 << (field.s - 1)
+    powers = field.powers_of_primitive()
+    alpha = tuple([field.inv(b) for b in powers if b < bound] + [0])
+    ones = (1,) * (len(alpha) + 1)
+    # 1/eta is the first power of w from w^(s-1) on outside V; w^(s-1)
+    # itself lies in V for some w != x (x^9 + x + 1: w^8 = x^7 + 1)
+    eta = field.inv(next(x for x in powers[field.s - 1:] if x >= bound))
+    params = (partial(EmgrsParams, field, alpha, ones, 1, eta, 1) if extended
+              else partial(MgrsParams, field, alpha, ones, eta, 1))
+    return range(5, (field.q - 4) // 2 + 1), _modified_row(
+        "modified-grs-plus-extended" if extended else "modified-grs-plus", params)
 
 
 def plus_modified(field: Field, k: int, extended: bool) -> ConstructionRecord:
@@ -146,24 +182,17 @@ def plus_modified(field: Field, k: int, extended: bool) -> ConstructionRecord:
     of the nonzero elements of the hyperplane V, the F_2-span of 1, x, ...,
     x^(s-2) (the encodings below 2^(s-1)), followed by 0, with 1/eta
     outside V, so no reciprocal subset sum can meet it."""
-    q = field.q
-    if field.p != 2 or field.s < 2:
-        raise ValueError("needs characteristic 2 with s > 1")
-    if not 5 <= k <= (q - 4) // 2:
-        raise ValueError(f"need 5 <= k <= {(q - 4) // 2}")
+    return _lookup(_plus_row(field, extended), k)
+
+
+def _char2_k4_row(field: Field):
+    if field.p != 2 or field.s < 3:
+        raise ValueError("needs characteristic 2 with s > 2")
     bound = 1 << (field.s - 1)
-    powers = field.powers_of_primitive()
-    alpha = [field.inv(b) for b in powers if b < bound]
-    alpha.append(0)
+    alpha = tuple([field.inv(x) for x in field.powers_of_primitive() if x >= bound] + [0, 1])
     n = len(alpha) + 1
-    # 1/eta is the first power of w from w^(s-1) on outside V; w^(s-1)
-    # itself lies in V for some w != x (x^9 + x + 1: w^8 = x^7 + 1)
-    eta = field.inv(next(x for x in powers[field.s - 1:] if x >= bound))
-    if extended:
-        params = EmgrsParams(field, tuple(alpha), (1,) * n, 1, eta, 1, k)
-        return _modified_record("modified-grs-plus-extended", params)
-    params = MgrsParams(field, tuple(alpha), (1,) * n, eta, 1, k)
-    return _modified_record("modified-grs-plus", params)
+    return _dual_row(4, n, _modified_row("modified-grs", partial(
+        MgrsParams, field, alpha, (1,) * n, 1, 1)))
 
 
 def char2_k4(field: Field, k: int) -> ConstructionRecord:
@@ -171,15 +200,7 @@ def char2_k4(field: Field, k: int) -> ConstructionRecord:
     hyperplane coset x^(s-1) + V followed by 0 and 1, eta = 1, where V is
     the F_2-span of 1, x, ..., x^(s-2).  The k = (q-2)/2 row is the dual
     code."""
-    q = field.q
-    if field.p != 2 or field.s < 3:
-        raise ValueError("needs characteristic 2 with s > 2")
-    bound = 1 << (field.s - 1)
-    alpha = [field.inv(x) for x in field.powers_of_primitive() if x >= bound]
-    alpha.extend([0, 1])
-    n = len(alpha) + 1
-    params = MgrsParams(field, tuple(alpha), (1,) * n, 1, 1, 4)
-    return _primal_or_dual(params, k)
+    return _lookup(_char2_k4_row(field), k)
 
 
 def ngrs_q2_3(field: Field) -> ConstructionRecord:
@@ -194,27 +215,24 @@ def ngrs_q2_3(field: Field) -> ConstructionRecord:
                               False, partial(roth_lempel_generator, p))
 
 
+def _tgrs_row(q: int, roth_lempel: Callable[[], ConstructionRecord]):
+    # roth_lempel() is the [q+2, 3] record; puncturing it down to length
+    # k+3 >= 3 and taking the dual both keep its MDS verdict, and the
+    # punctured code, k+2 points and e_1, is non-GRS, so its dual is too
+    def make(k: int) -> ConstructionRecord:
+        rl = roth_lempel()
+        positions = list(range(1, q - 1 - k)) + [q + 1]
+        params = {"derived": f"dual-of-punctured-[{q + 2},3]", "punctured": _fmt_seq(positions)}
+        return ConstructionRecord("twisted-grs", params, q, k, k + 3, rl.mds, False,
+                                  lambda: dual(puncture(rl.code, positions)))
+    return range(q // 2, q - 1), make
+
+
 def tgrs_punctured(field: Field, k: int) -> ConstructionRecord:
     """Characteristic 2, length k+3 for q/2 <= k < q-1: dual of the
     [q+2, 3] code punctured on s-1 evaluation columns and the
     second-to-last unit column, where s = q-1-k."""
-    q = field.q
-    # the range check first: the [q+2, 3] record costs an O(q^2) certificate
-    if not q // 2 <= k < q - 1:
-        raise ValueError(f"need {q // 2} <= k <= {q - 2}")
-    return _punctured_record(k, ngrs_q2_3(field))
-
-
-def _punctured_record(k: int, roth_lempel: ConstructionRecord) -> ConstructionRecord:
-    # puncturing the [q+2, 3] code roth_lempel down to length k+3 >= 3 and
-    # taking the dual both keep its MDS verdict, and the punctured code,
-    # k+2 points and e_1, is non-GRS, so its dual is too
-    q = roth_lempel.q
-    s = q - 1 - k
-    positions = list(range(1, s)) + [q + 1]
-    params = {"derived": f"dual-of-punctured-[{q + 2},3]", "punctured": _fmt_seq(positions)}
-    return ConstructionRecord("twisted-grs", params, q, k, k + 3, roth_lempel.mds, False,
-                              lambda: dual(puncture(roth_lempel.code, positions)))
+    return _lookup(_tgrs_row(field.q, partial(ngrs_q2_3, field)), k)
 
 
 def table1(field: Field) -> Table1Report:
@@ -223,29 +241,21 @@ def table1(field: Field) -> Table1Report:
     q = field.q
     if q < 8:
         raise ValueError("table needs q >= 8")
-    records = []
-    notes = []
-    # the k = (q-2)/2 and k = (q-1)/2 rows are the duals of the k = 4 and
-    # k = 3 rows; for q >= 8 neither dual has its primal's k
+    # the k = (q-2)/2 and k = (q-1)/2 rows, the duals of the k = 4 and
+    # k = 3 rows, follow the rows between them; for q >= 8 neither dual
+    # has its primal's k
     if field.p == 2:
         roth_lempel = ngrs_q2_3(field)
-        primal = char2_k4(field, 4)
-        records += [roth_lempel, primal]
-        lo, hi = 5, (q - 4) // 2
-        if lo > hi:
-            notes.append(f"row 5<=k<=(q-4)/2 empty for q={q}")
-        else:
-            records += [plus_modified(field, k, extended=True) for k in range(lo, hi + 1)]
-        records.append(_dual_record("modified-grs-dual", primal))
-        records += [_punctured_record(k, roth_lempel) for k in range(q // 2, q - 1)]
-        records.append(_dual_record("roth-lempel-dual", roth_lempel))
+        (k4, k4_dual), char2 = _char2_k4_row(field)
+        plus_ks, plus = _plus_row(field, extended=True)
+        tgrs_ks, tgrs = _tgrs_row(q, lambda: roth_lempel)
+        notes = [] if plus_ks else [f"row 5<=k<=(q-4)/2 empty for q={q}"]
+        records = [roth_lempel, char2(k4), *map(plus, plus_ks), char2(k4_dual),
+                   *map(tgrs, tgrs_ks), _dual_record("roth-lempel-dual", roth_lempel)]
     else:
-        primal = odd_k3(field, 3)
-        records.append(primal)
-        lo, hi = 4, (q - 3) // 2
-        if lo > hi:
-            notes.append(f"row 4<=k<=(q-3)/2 empty for q={q}")
-        else:
-            records += [star_modified(field, k) for k in range(lo, hi + 1)]
-        records.append(_dual_record("modified-grs-dual", primal))
+        (k3, k3_dual), odd = _odd_k3_row(field)
+        star_ks, star = _star_row(field)
+        star_ks = star_ks[:-1]  # k = n-2 is GRS, since n-k = 2
+        notes = [] if star_ks else [f"row 4<=k<=(q-3)/2 empty for q={q}"]
+        records = [odd(k3), *map(star, star_ks), odd(k3_dual)]
     return Table1Report(q=q, records=records, notes=notes)

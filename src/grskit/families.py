@@ -416,11 +416,18 @@ def _subset_check(F: Field, alpha, m, t, eta) -> bool:
     # neither, and the parameters hold at least k-1 >= m points
     if eta == 0:
         return 0 not in alpha
+    vals, op, unit, target = _fold(F, alpha, m, t, eta)
+    return _no_fold_reaches(vals, m, op, unit, target)
+
+
+def _fold(F: Field, alpha, m, t, eta):
+    # (vals, op, unit, target) of the t = 1 or t = m fold, eta != 0: an
+    # m-subset of the nonzero points defeats MDS iff its fold is target
     rest = [a for a in alpha if a != 0]
     if t == 1:  # 1/eta != sum of reciprocals over every m-subset
-        return _no_fold_reaches([F.inv(a) for a in rest], m, F.add, 0, F.inv(eta))
+        return [F.inv(a) for a in rest], F.add, 0, F.inv(eta)
     # pi_m = 1: (-1)^(m+1) * eta != product over every m-subset
-    return _no_fold_reaches(rest, m, F.mul, 1, eta if m % 2 else F.neg(eta))
+    return rest, F.mul, 1, eta if m % 2 else F.neg(eta)
 
 
 def mgrs_is_mds(p: MgrsParams) -> bool:

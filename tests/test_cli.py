@@ -493,4 +493,4 @@ def test_no_argument_leaks_between_calls(tmp_path, capsys):
     rc, _, _ = run(capsys, "transform", "--op", "puncture", "--pos", "7", "--in", src)
     assert rc == 0
     rc, out, err = run(capsys, "transform", "--op", "puncture", "--in", src)
-    assert (rc, out) == (2, "") and err == "error: --pos is required for this family\n"
+    assert (rc, out) == (2, "") and err == "error: --pos is required for --op puncture\n"

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -240,11 +241,44 @@ def test_each_record_verified_once(monkeypatch):
         assert calls["rl"] == (q % 2 == 0) and report.records
 
 
+@pytest.mark.parametrize("q, rows", [(25, 2), (27, 2), (64, 3)])
+def test_one_closure_per_fold_row(monkeypatch, q, rows):
+    # every record of a row folds the same values towards the same target,
+    # so table1 computes each fold row's closure once: the k = 3 and star
+    # rows at odd q, the Roth-Lempel, k = 4 and plus rows in characteristic
+    # 2; a single builder call computes at most one
+    from grskit import constructions, families
+    calls = []
+    real = families._outside_closure
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(families, "_outside_closure", counted)
+    monkeypatch.setattr(constructions, "_outside_closure", counted, raising=False)
+    f = field_from_order(q)
+    assert len(table1(f).records) > 2 * rows
+    assert len(calls) == rows
+    if f.p == 2:
+        builds = [partial(plus_modified, f, k, extended=ext)
+                  for k in (5, (q - 4) // 2) for ext in (False, True)]
+    else:
+        # k = n-2 = (q-1)/2, a GRS record, takes its GRS verdict from the
+        # same certificate
+        builds = [partial(star_modified, f, k) for k in (4, (q - 1) // 2)]
+    for build in builds:
+        calls.clear()
+        assert build().mds
+        assert len(calls) <= 1
+
+
 def test_records_carry_their_certificate(monkeypatch):
     # with every certificate forced to False, every record, dual and
-    # punctured rows included, must read mds=False
+    # punctured rows included, must read mds=False; a modified-GRS record's
+    # certificate is its row's closure, then the DP on the row's fold
     from grskit import constructions
-    for name in ("roth_lempel_is_mds", "mgrs_is_mds", "emgrs_is_mds"):
+    for name in ("roth_lempel_is_mds", "_outside_closure", "_no_subset_reaches"):
         monkeypatch.setattr(constructions, name, lambda *args: False)
     for q in (8, 11, 16):
         records = table1(field_from_order(q)).records

@@ -17,7 +17,8 @@ grsid.CountingField.  The min_distance row times min_distance on the
 generator of a seeded GRS [16,6] code over GF(16), whose weight walk
 updates one row per node (median of --repeat runs), and counts its
 field operations over grsid.CountingField.  Each table1 row, for q =
-16, 25, 32, 64, 125, 243, 512 and 1024, times `table1 --q <q> --format kv` through cli.main
+16, 25, 32, 64, 125, 243, 512, 1024 and 8191, times
+`table1 --q <q> --format kv` through cli.main
 (median of --repeat runs) and takes the record count, the
 field-operation count and whether every record reads MDS and non-GRS
 from one more table1 over grsid.CountingField.  The rows are stored
@@ -64,9 +65,10 @@ SHAPES = ((257, 256, 128), (256, 200, 50), (243, 200, 50))
 DIST_SHAPE = (16, 16, 6)
 # field orders of the table1 rows: the ROADMAP's north star, 64, 125, the
 # largest odd-extension table up to 128, 243, the largest below 256 and
-# the slowest table up to 256 while every record built its generator, and
-# 512 and 1024, the char-2 tables whose plus rows dominate the largest q
-TABLE_QS = (16, 25, 32, 64, 125, 243, 512, 1024)
+# the slowest table up to 256 while every record built its generator,
+# 512 and 1024, the char-2 tables whose plus rows dominate the largest q,
+# and 8191, the largest prime table, about 4,100 star records
+TABLE_QS = (16, 25, 32, 64, 125, 243, 512, 1024, 8191)
 # (p, s, n, k) of the GRS file behind the cli.main row, and the number of
 # calls after the first whose median it reports
 CLI_SHAPE = (2, 4, 10, 4)
