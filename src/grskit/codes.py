@@ -20,8 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .gf import (Field, INF, is_finite, field_new, format_element,
-                 parse_element, _parse_decimal, _parse_modulus)
+from .gf import (Field, INF, is_finite, field_new, parse_element, _parse_decimal,
+                 _parse_modulus)
 from . import linalg
 from .linalg import Matrix
 
@@ -58,6 +58,16 @@ class LinearCode:
         return f"LinearCode([{self.n},{self.k}] over {self.field!r})"
 
 
+def _check_distinct_finite(field: Field, alpha):
+    if len(set(map(field.check, alpha))) != len(alpha):
+        raise ValueError("evaluation points must be distinct")
+
+
+def _check_nonzero(field: Field, v):
+    if 0 in map(field.check, v):
+        raise ValueError("multipliers must be nonzero")
+
+
 @dataclass(frozen=True)
 class GrsSpec:
     """Evaluation points and column multipliers of a (possibly extended) GRS code."""
@@ -75,17 +85,11 @@ class GrsSpec:
             raise ValueError("alpha and v must have the same length")
         if not 0 <= self.k <= n:
             raise ValueError("need 0 <= k <= n")
-        F = self.field
         finite = [a for a in self.alpha if is_finite(a)]
-        for a in finite:
-            F.check(a)
-        if len(set(finite)) != len(finite) or len(finite) < n - 1:
-            raise ValueError("evaluation points must be pairwise distinct "
-                             "with at most one point at infinity")
-        for x in self.v:
-            F.check(x)
-            if x == 0:
-                raise ValueError("column multipliers must be nonzero")
+        _check_distinct_finite(self.field, finite)
+        if len(finite) < n - 1:
+            raise ValueError("at most one evaluation point may be inf")
+        _check_nonzero(self.field, self.v)
 
     @property
     def n(self) -> int:
@@ -425,8 +429,8 @@ def parse_matrix_file(text: str) -> Matrix:
 def format_spec_file(spec: GrsSpec) -> str:
     lines = [
         _field_header(spec.field),
-        "alpha: " + " ".join(format_element(a) for a in spec.alpha),
-        "v: " + " ".join(str(x) for x in spec.v),
+        "alpha: " + " ".join(map(str, spec.alpha)),
+        "v: " + " ".join(map(str, spec.v)),
         f"k: {spec.k}",
     ]
     return "\n".join(lines) + "\n"

@@ -3,8 +3,9 @@
 A ConstructionRecord carries its parameters, q, k, n and two verdicts, all
 decided from the parameters; its generator is built on the first read of
 its code.  MDS-ness is a subset certificate on the evaluation points
-(families.mgrs_is_mds, emgrs_is_mds and roth_lempel_is_mds); no columns
-are walked.  GRS-ness of a modified-GRS row is the curve rule
+(families.mgrs_is_mds, emgrs_is_mds and roth_lempel_is_mds, a row's
+records sharing one families._certificate); no columns are walked.
+GRS-ness of a modified-GRS row is the curve rule
 (families.mgrs_is_grs, emgrs_is_grs).  The Roth-Lempel [q+2, 3] code and
 each punctured [k+3, 3] code behind a twisted-GRS row are non-GRS by the
 same argument: at least 5 of their columns (all q+1 points, or k+2 >= 6
@@ -27,11 +28,11 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, partial
 from typing import Callable
 
-from .gf import Field, format_element
+from .gf import Field
 from .codes import LinearCode, dual, puncture
 from .families import (MgrsParams, EmgrsParams, RothLempelParams, mgrs_generator,
                        emgrs_generator, roth_lempel_generator, roth_lempel_is_mds,
-                       _curve_rule, _fold, _no_subset_reaches, _outside_closure)
+                       _certificate, _curve_rule)
 
 
 @dataclass(frozen=True)
@@ -72,16 +73,13 @@ class Table1Report:
 
 
 def _fmt_seq(xs) -> str:
-    return ",".join(format_element(x) for x in xs)
+    return ",".join(map(str, xs))
 
 
 def _modified_row(family: str, params) -> Callable[[int], ConstructionRecord]:
     # the record maker of a modified-GRS row, whose params(k) validates its
-    # MgrsParams or EmgrsParams at k.  Every k of a row has the same points
-    # and folds the same values towards the same target (families._fold),
-    # so alpha and v are formatted and the fold's closure is computed once a
-    # row, on its first record; where the closure does not decide, each
-    # record runs the DP at its sizes k-1 (and k-2 with the extended column)
+    # MgrsParams or EmgrsParams at k.  Every k of a row has the same points,
+    # so alpha, v and the row's one certificate are made on its first record
     shared = None
 
     def make(k: int) -> ConstructionRecord:
@@ -89,12 +87,10 @@ def _modified_row(family: str, params) -> Callable[[int], ConstructionRecord]:
         p = params(k)
         extended = isinstance(p, EmgrsParams)
         if shared is None:
-            fold = _fold(p.field, p.alpha, k - 1, p.t, p.eta)
             v = p.v + (p.v_ext,) if extended else p.v
-            shared = _fmt_seq(p.alpha), _fmt_seq(v), fold, _outside_closure(*fold)
-        alpha, v, (vals, op, unit, target), outside = shared
-        mds = outside or all(_no_subset_reaches(vals, m, op, unit, target.__eq__)
-                             for m in ((k - 1, k - 2) if extended else (k - 1,)))
+            shared = _fmt_seq(p.alpha), _fmt_seq(v), _certificate(p.field, p.alpha)
+        alpha, v, is_mds = shared
+        mds = is_mds(p)
         return ConstructionRecord(family, {"alpha": alpha, "v": v, "eta": str(p.eta),
                                            "t": str(p.t)}, p.field.q, k, p.n, mds,
                                   _curve_rule(p, lambda _: mds),

@@ -5,18 +5,18 @@ modified GRS, the row-removed subcode families (c/d), twisted GRS with a
 constant-coefficient or top-degree hook, Roth-Lempel, and column-twisted
 codes.  The MDS predicates (mgrs_is_mds, emgrs_is_mds and
 roth_lempel_is_mds) decide a subset condition on the evaluation points
-exactly, without building generator matrices.  The products (t = m) and
-the reciprocal sums (t = 1) settle the point 0 up front and fold the
-nonzero points; they and the Roth-Lempel point sums end in one tail,
-_no_fold_reaches: a closure check first (every fold lies in the subgroup
-generated by the nonzero points, or in the F_p-span of the summed
-values, so a target outside it is never reached), then one DP over the
-values that subsets of the points reach.  For those three folds they are
-field elements, so the DP costs O(n·m·q) field operations.  These
-certificates are the only MDS verdicts of the length table.  The DP has
-a budget on the values it holds (_SUBSET_CAP).  The GRS rule
-(mgrs_is_grs, emgrs_is_grs) decides every modified-GRS code from its
-parameters alone: GRS iff eta = 0 and 0 is not a point where
+exactly, without building generator matrices.  The first two are one
+certificate over a point set, _certificate, which settles the point 0 up
+front for the products (t = m) and the reciprocal sums (t = 1) and folds
+the nonzero points once per target.  They and the Roth-Lempel point sums
+end in one tail, _fold_tail: a closure check first (no fold leaves the
+group that the values generate), then for pairs (m = 2) one lookup of
+target - x (sums) or target / x (products) among the values already
+seen, and for any other size one DP over the values that subsets reach,
+O(n·m·q) field operations within a budget (_SUBSET_CAP).  These
+certificates are the only MDS verdicts of the length table.  The GRS
+rule (mgrs_is_grs, emgrs_is_grs) decides every modified-GRS code from
+its parameters alone: GRS iff eta = 0 and 0 is not a point where
 min(k, n-k) >= 3, and iff MDS and n <= q+1 elsewhere.
 """
 
@@ -26,24 +26,11 @@ from dataclasses import dataclass
 
 from .gf import Field, INF
 from .linalg import Matrix
-from .codes import LinearCode, GrsSpec, grs_dual_multipliers, _eval_columns, _cols_to_code
+from .codes import (LinearCode, GrsSpec, grs_dual_multipliers, _eval_columns, _cols_to_code,
+                    _check_distinct_finite, _check_nonzero)
 
 TWIST_ZERO = "zero"
 TWIST_TOP = "top"
-
-
-def _check_distinct_finite(field: Field, alpha):
-    for a in alpha:
-        field.check(a)
-    if len(set(alpha)) != len(alpha):
-        raise ValueError("evaluation points must be distinct")
-
-
-def _check_nonzero(field: Field, v):
-    for x in v:
-        field.check(x)
-        if x == 0:
-            raise ValueError("multipliers must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -95,9 +82,7 @@ class EmgrsParams:
             raise ValueError("need k <= n-1")
         # validates the fields shared with MgrsParams
         MgrsParams(self.field, self.alpha, self.v, self.eta, self.t, self.k)
-        self.field.check(self.v_ext)
-        if self.v_ext == 0:
-            raise ValueError("multipliers must be nonzero")
+        _check_nonzero(self.field, (self.v_ext,))
 
     @property
     def n(self) -> int:
@@ -318,7 +303,8 @@ def col_twisted_generator(field: Field, a, b: int, c: int, lam: int, k: int,
 # when eta * pi_t(S) = (-1)^(m+1) * prod(S) for the (size-m) subset S of
 # evaluation points it meets, where pi_t(S) is the coefficient of x^t in
 # prod_{a in S}(x - a).  One DP over reachable folded values,
-# _no_subset_reaches, decides every size with early exit.  Its t = 1
+# _no_subset_reaches, decides every size with early exit (but the pairs
+# of a field-element fold, which _fold_tail looks up).  Its t = 1
 # (reciprocal sum) and t = m (product) folds are one field element each,
 # so a layer holds at most q values; the general fold of the coefficients
 # up to x^t is a tuple, and its layers can grow towards C(n, j).
@@ -386,10 +372,23 @@ def _outside_closure(vals, op, unit, target) -> bool:
     return target not in group
 
 
-def _no_fold_reaches(vals, m, op, unit, target) -> bool:
-    # the one tail of every field-element fold: the closure check, then the DP
-    return (_outside_closure(vals, op, unit, target)
-            or _no_subset_reaches(vals, m, op, unit, target.__eq__))
+def _fold_tail(vals, op, unit, target, undo):
+    """misses(m): no m-subset of vals folds with op from unit to target.
+    The closure check runs once; a pair (m = 2) looks up undo(target, x)
+    among the values before x, and any other m runs the DP."""
+    if _outside_closure(vals, op, unit, target):
+        return lambda m: True
+
+    def misses(m):
+        if m != 2:
+            return _no_subset_reaches(vals, m, op, unit, target.__eq__)
+        seen = set()
+        for x in vals:
+            if undo(target, x) in seen:
+                return False
+            seen.add(x)
+        return True
+    return misses
 
 
 def _coefficient_condition_holds(F: Field, alpha, m, t, eta) -> bool:
@@ -405,42 +404,47 @@ def _coefficient_condition_holds(F: Field, alpha, m, t, eta) -> bool:
                               lambda c: add(mul(eta, c[t]), c[0]) == 0)
 
 
-def _subset_check(F: Field, alpha, m, t, eta) -> bool:
-    if m <= 0:
-        return True
-    if t not in (1, m):
-        return _coefficient_condition_holds(F, alpha, m, t, eta)
-    # an m-subset through 0 sums its reciprocals to inf (t = 1), which is
-    # 1/eta iff eta = 0, or multiplies to 0 (t = m), which is the target
-    # (-1)^(m+1) * eta iff eta = 0; subsets of nonzero points reach
-    # neither, and the parameters hold at least k-1 >= m points
-    if eta == 0:
-        return 0 not in alpha
-    vals, op, unit, target = _fold(F, alpha, m, t, eta)
-    return _no_fold_reaches(vals, m, op, unit, target)
-
-
-def _fold(F: Field, alpha, m, t, eta):
-    # (vals, op, unit, target) of the t = 1 or t = m fold, eta != 0: an
-    # m-subset of the nonzero points defeats MDS iff its fold is target
+def _certificate(F: Field, alpha):
+    """is_mds(p) for every MgrsParams or EmgrsParams p on the points alpha;
+    each t = 1 or t = m fold and its closure are built once per target."""
     rest = [a for a in alpha if a != 0]
-    if t == 1:  # 1/eta != sum of reciprocals over every m-subset
-        return [F.inv(a) for a in rest], F.add, 0, F.inv(eta)
-    # pi_m = 1: (-1)^(m+1) * eta != product over every m-subset
-    return rest, F.mul, 1, eta if m % 2 else F.neg(eta)
+    tails = {}
+
+    def holds(m, t, eta):
+        if m <= 0:
+            return True
+        if t not in (1, m):
+            return _coefficient_condition_holds(F, alpha, m, t, eta)
+        # an m-subset defeats MDS iff its fold is the target: 1/eta for the
+        # sum of reciprocals (t = 1), (-1)^(m+1) * eta for the product (t = m,
+        # pi_m = 1).  Through 0 they are inf and 0, the target iff eta = 0,
+        # and the parameters hold at least k-1 >= m points
+        if eta == 0:
+            return 0 not in alpha
+        sums = t == 1
+        target = F.inv(eta) if sums else eta if m % 2 else F.neg(eta)
+        if (sums, target) not in tails:
+            tails[sums, target] = (
+                _fold_tail([F.inv(a) for a in rest], F.add, 0, target, F.sub) if sums
+                else _fold_tail(rest, F.mul, 1, target, lambda y, x: F.mul(y, F.inv(x))))
+        return tails[sums, target](m)
+
+    def is_mds(p) -> bool:
+        sizes = (p.k - 1, p.k - 2) if isinstance(p, EmgrsParams) else (p.k - 1,)
+        return all(holds(m, p.t, p.eta) for m in sizes)
+    return is_mds
 
 
 def mgrs_is_mds(p: MgrsParams) -> bool:
     """MDS iff eta * pi_t(S) != (-1)^k * prod(S) for every (k-1)-subset S
     of the evaluation points."""
-    return _subset_check(p.field, p.alpha, p.k - 1, p.t, p.eta)
+    return _certificate(p.field, p.alpha)(p)
 
 
 def emgrs_is_mds(p: EmgrsParams) -> bool:
     """MDS iff the modified-GRS subset condition holds at sizes k-1 and k-2
     (the second size accounts for the appended top-coefficient column)."""
-    return (_subset_check(p.field, p.alpha, p.k - 1, p.t, p.eta)
-            and _subset_check(p.field, p.alpha, p.k - 2, p.t, p.eta))
+    return _certificate(p.field, p.alpha)(p)
 
 
 def roth_lempel_is_mds(p: RothLempelParams) -> bool:
@@ -448,7 +452,7 @@ def roth_lempel_is_mds(p: RothLempelParams) -> bool:
     Lempel 1989): a k-subset of columns made of e_(k-2) + delta * e_(k-1)
     and k-1 point columns S has minor +-V(S) * (delta - sum(S)), and every
     other k-subset has a nonzero Vandermonde minor."""
-    return _no_fold_reaches(p.a, p.k - 1, p.field.add, 0, p.delta)
+    return _fold_tail(p.a, p.field.add, 0, p.delta, p.field.sub)(p.k - 1)
 
 
 # ---------------- GRS rule ----------------

@@ -37,8 +37,8 @@ Element tokens in files are canonical ASCII decimals (0 or no leading
 zero), or "inf" where the point at infinity is legal.
 
 The point at infinity is the module-level singleton INF, used for the
-evaluation-point domain of extended codes.  The conventions are
-1/0 = inf, 1/inf = 0 and inf + a = inf.
+evaluation-point domain of extended codes; str(INF) is its token.  The
+conventions are 1/0 = inf, 1/inf = 0 and inf + a = inf.
 """
 
 from __future__ import annotations
@@ -500,10 +500,6 @@ def proj_inv(field: Field, x):
     if x == 0:
         return INF
     return field.inv(x)
-
-
-def format_element(x) -> str:
-    return "inf" if x is INF else str(x)
 
 
 def parse_element(field: Field, token: str, allow_inf: bool = False):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from statistics import median
 
-from .gf import Field, INF, is_finite, proj_inv, format_element
+from .gf import Field, INF, is_finite, proj_inv
 from . import linalg
 from .linalg import Matrix
 from .codes import LinearCode, GrsSpec, grs_generator, grs_dual_multipliers, code_eq
@@ -68,8 +68,8 @@ class GrsVerdict:
 
     def format(self) -> str:
         if self.grs:
-            alpha = " ".join(format_element(a) for a in self.spec.alpha)
-            v = " ".join(str(x) for x in self.spec.v)
+            alpha = " ".join(map(str, self.spec.alpha))
+            v = " ".join(map(str, self.spec.v))
             return f"verdict=grs k={self.spec.k} alpha={alpha} v={v}"
         out = f"verdict=non-grs reason={self.reason}"
         if self.stage:

@@ -273,13 +273,27 @@ def test_one_closure_per_fold_row(monkeypatch, q, rows):
         assert len(calls) <= 1
 
 
+def test_pair_folds_take_one_pass():
+    # an m = 2 fold is decided by looking up target - x (or target / x)
+    # among the values already seen, O(q) field operations, not a DP that
+    # tests every held fold against each new value: the k = 3 row's
+    # products at GF(729) (its closure is the whole group) and the [q+2, 3]
+    # Roth-Lempel sums at GF(512) (target 0, so no closure)
+    from grskit.grsid import CountingField
+    for build, f, bound in ((partial(odd_k3, k=3), field_from_order(729), 4),
+                            (ngrs_q2_3, Field(2, 9), 2)):
+        cf = CountingField(f)
+        assert build(cf).mds
+        assert cf.ops <= bound * f.q, (f, cf.ops)
+
+
 def test_records_carry_their_certificate(monkeypatch):
     # with every certificate forced to False, every record, dual and
     # punctured rows included, must read mds=False; a modified-GRS record's
-    # certificate is its row's closure, then the DP on the row's fold
+    # certificate is its row's families._certificate
     from grskit import constructions
-    for name in ("roth_lempel_is_mds", "_outside_closure", "_no_subset_reaches"):
-        monkeypatch.setattr(constructions, name, lambda *args: False)
+    monkeypatch.setattr(constructions, "roth_lempel_is_mds", lambda *args: False)
+    monkeypatch.setattr(constructions, "_certificate", lambda *args: lambda p: False)
     for q in (8, 11, 16):
         records = table1(field_from_order(q)).records
         assert records and not any(rec.mds for rec in records)

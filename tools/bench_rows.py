@@ -17,7 +17,7 @@ grsid.CountingField.  The min_distance row times min_distance on the
 generator of a seeded GRS [16,6] code over GF(16), whose weight walk
 updates one row per node (median of --repeat runs), and counts its
 field operations over grsid.CountingField.  Each table1 row, for q =
-16, 25, 32, 64, 125, 243, 512, 1024 and 8191, times
+16, 25, 32, 64, 125, 243, 512, 1024, 8191 and 8192, times
 `table1 --q <q> --format kv` through cli.main
 (median of --repeat runs) and takes the record count, the
 field-operation count and whether every record reads MDS and non-GRS
@@ -67,8 +67,9 @@ DIST_SHAPE = (16, 16, 6)
 # largest odd-extension table up to 128, 243, the largest below 256 and
 # the slowest table up to 256 while every record built its generator,
 # 512 and 1024, the char-2 tables whose plus rows dominate the largest q,
-# and 8191, the largest prime table, about 4,100 star records
-TABLE_QS = (16, 25, 32, 64, 125, 243, 512, 1024, 8191)
+# 8191, the largest prime table, about 4,100 star records, and 8192, the
+# table cap, whose k = 4 row's subset DP takes most of its time
+TABLE_QS = (16, 25, 32, 64, 125, 243, 512, 1024, 8191, 8192)
 # (p, s, n, k) of the GRS file behind the cli.main row, and the number of
 # calls after the first whose median it reports
 CLI_SHAPE = (2, 4, 10, 4)
