@@ -11,10 +11,14 @@ counter, say) counts exactly one per public scalar call, inv and pow
 included, on every field, and 2 per nonzero entry of y for axpy(x, f, y),
 the sub and mul per entry that it replaces.
 
-axpy(x, f, y) is the row update x - f*y of elimination, of matmul and of
-the weight walk (Lin–Costello ch. 2): one call per row, with the
-per-field set-up (log f, log(-f)) done once per row rather than once per
-entry.
+axpy(x, f, y) is the row update x - f*y of matmul, of the column and
+weight walks (Lin–Costello ch. 2) and of elimination on list rows: one
+call per row, with the per-field set-up (log f, log(-f)) done once per
+row rather than once per entry.  Elimination takes its rows from the
+private _rows: on a prime field each row is one int of 64-bit slots and
+an update one big-integer multiply-add, x + (p - f)*y; extension fields,
+primes too large to pack and subclasses that override axpy keep list
+rows and axpy, so an operation counter still sees every update.
 
 Every field with q up to _TABLE_CAP, prime or extension, builds
 log/antilog tables of its primitive element once, when it is
@@ -44,6 +48,8 @@ conventions are 1/0 = inf, 1/inf = 0 and inf + a = inf.
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 
 
 class _Infinity:
@@ -400,6 +406,54 @@ class Field:
                 z = zech[ln + log[b] - la]
                 out.append(exp[la + z] if z >= 0 else 0)
         return out
+
+    # -- elimination rows --
+
+    def _rows(self, k, n):
+        """The row primitives of an elimination of k rows of n entries, a
+        tuple (encode, entry, pivot, update, decode): encode(row) is a row
+        of entries in working form, decode(x) its entries again, entry(x, c)
+        its entry c, pivot(x, inv) the row times inv, reduced (inv = 1 only
+        reduces), and update(x, f, y) the row x - f*y, for f = entry(x, c)
+        != 0 and a pivot row y.
+
+        A prime field holds a row as one int with entry c in bits 64c to
+        64c + 63 (an array("Q") read in native byte order), each slot a
+        non-negative value congruent to the entry, so an update is one
+        big-integer multiply-add, x + (p - f)*y, run in C.  Only pivot,
+        decode and entry reduce mod p.  Between two reductions a row takes
+        at most k updates of at most (p - 1)^2 a slot, so packing is exact
+        while (p - 1) + k(p - 1)^2 < 2^64: every prime up to the table cap
+        at any feasible k.  Extension fields, primes past that bound and
+        subclasses that override axpy (CountingField, whose counts are
+        pinned) keep list rows updated by axpy.
+        """
+        p = self.p
+        if (self.s > 1 or type(self).axpy is not Field.axpy
+                or (p - 1) + k * (p - 1) ** 2 >= 1 << 64):
+            mul = self.mul
+
+            def scale(row, inv):
+                return row if inv == 1 else [mul(inv, x) if x else 0 for x in row]
+            return list, operator.getitem, scale, self.axpy, tuple
+
+        order, size = sys.byteorder, 8 * n
+
+        def encode(row):
+            return int.from_bytes(array("Q", row), order)
+
+        def entry(x, c):
+            return ((x >> (c << 6)) & 0xFFFFFFFFFFFFFFFF) % p
+
+        def pivot(x, inv):
+            return encode([e * inv % p for e in array("Q", x.to_bytes(size, order))])
+
+        def update(x, f, y):
+            return x + (p - f) * y
+
+        def decode(x):
+            return [e % p for e in array("Q", x.to_bytes(size, order))]
+        return encode, entry, pivot, update, decode
 
     # -- element utilities --
 

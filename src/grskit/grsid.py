@@ -36,7 +36,6 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import permutations
-from statistics import median
 
 from .gf import Field, INF, is_finite, proj_inv
 from . import linalg
@@ -420,7 +419,9 @@ class CountingField(Field):
     No public operation of a Field calls another, so ops grows by exactly
     one per call of add, sub, neg, mul, inv or pow, on every field, and by
     2 for each nonzero entry of y per axpy(x, f, y): the sub and mul per
-    entry that the row operation replaces.
+    entry that the row operation replaces.  Since it overrides axpy,
+    elimination over it keeps list rows updated by axpy on every field
+    (Field._rows), prime fields included, so those updates are counted.
     """
 
     __slots__ = ("ops",)
@@ -489,6 +490,10 @@ def bench_recover(field: Field, k: int, n_list, trials: int, seed: int = 0):
     a pow is one operation whatever it costs inside.  Returns one row per
     n with median wall time and median operation count.
     """
+    # imported here, not at module level: statistics pulls in fractions,
+    # decimal and numbers, about 4 ms of every import of grskit
+    from statistics import median
+
     rng = random.Random(seed)
     rows = []
     if trials <= 0:

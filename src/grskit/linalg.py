@@ -2,15 +2,19 @@
 
 Matrices are immutable: entries live in a tuple of row tuples and every
 operation returns a fresh Matrix.  All arithmetic goes through the
-field's methods, so an instrumented field sees every operation.
+field's methods, so an instrumented field that overrides axpy (which
+keeps elimination on list rows) sees every operation.
 
 One elimination kernel, _eliminate (forward elimination to a unit-pivot
 echelon form), serves everything: rank is its pivot count, det its signed
 pivot product, rref adds back-substitution, and echelonize is rref plus
-the check that the pivots fill the leading columns.  Every row update,
-row i minus f times the pivot row, is one Field.axpy call, which skips
-the zero entries of the pivot row; matmul builds each output row the same
-way, one axpy by -x per nonzero entry x of a's row.
+the check that the pivots fill the leading columns.  It works on the
+rows through the field's row primitives (Field._rows), so each row
+update, row i minus f times the pivot row, is on a prime field one
+big-integer multiply-add of rows packed one int each, and elsewhere one
+Field.axpy call, which skips the zero entries of the pivot row.  matmul
+builds each output row with Field.axpy on every field, one axpy by -x per
+nonzero entry x of a's row.
 """
 
 from __future__ import annotations
@@ -93,14 +97,18 @@ def _eliminate(m: Matrix):
 
     Scans the columns left to right, swaps the first row with a nonzero
     entry into place, scales it to a leading 1 and clears the entries
-    below.  Returns (rows, pivot_columns, d): the echelon rows as lists,
-    and d, the product of the pivots negated once per swap, which is the
-    determinant when m is square and every column has a pivot.
+    below.  Returns (rows, pivot_columns, d, primitives): the echelon rows
+    in the working form of the field's row primitives (Field._rows), d,
+    the product of the pivots negated once per swap, which is the
+    determinant when m is square and every column has a pivot, and the
+    primitives themselves, which rref goes on with.
     """
     F = m.field
-    mul, axpy = F.mul, F.axpy
-    a = [list(r) for r in m.data]
-    k = len(a)
+    mul = F.mul
+    k = m.rows
+    primitives = F._rows(k, m.cols)
+    encode, entry, pivot, update, _ = primitives
+    a = [encode(r) for r in m.data]
     pivots = []
     d = 1
     for c in range(m.cols):
@@ -108,40 +116,37 @@ def _eliminate(m: Matrix):
         if r == k:
             break
         for piv in range(r, k):
-            if a[piv][c]:
+            p = entry(a[piv], c)
+            if p:
                 break
         else:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             d = F.neg(d)
-        p = a[r][c]
         d = mul(d, p)
-        if p != 1:
-            inv = F.inv(p)
-            a[r] = [mul(inv, x) if x else 0 for x in a[r]]
-        row = a[r]
+        row = a[r] = pivot(a[r], F.inv(p) if p != 1 else 1)
         for i in range(r + 1, k):
-            f = a[i][c]
+            f = entry(a[i], c)
             if f:
-                a[i] = axpy(a[i], f, row)
+                a[i] = update(a[i], f, row)
         pivots.append(c)
-    return a, tuple(pivots), d
+    return a, tuple(pivots), d, primitives
 
 
 def rref(m: Matrix):
     """General reduced row echelon form.  Returns (M, pivot_columns)."""
-    F = m.field
-    axpy = F.axpy
-    a, pivots, _ = _eliminate(m)
-    # back-substitution, bottom pivot first, so that no cleared entry refills
+    a, pivots, _, (_, entry, pivot, update, decode) = _eliminate(m)
+    # back-substitution, bottom pivot first, so that no cleared entry
+    # refills; the pivots below a pivot row may have updated it since
+    # _eliminate reduced it, so it is reduced again before it serves
     for r in range(len(pivots) - 1, 0, -1):
-        c, row = pivots[r], a[r]
+        c, row = pivots[r], pivot(a[r], 1)
         for i in range(r):
-            f = a[i][c]
+            f = entry(a[i], c)
             if f:
-                a[i] = axpy(a[i], f, row)
-    return _matrix(F, a, m.cols), pivots
+                a[i] = update(a[i], f, row)
+    return _matrix(m.field, map(decode, a), m.cols), pivots
 
 
 def echelonize(m: Matrix):
@@ -168,7 +173,7 @@ def det(m: Matrix):
     """Determinant by Gaussian elimination; exact over the field."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    _, pivots, d = _eliminate(m)
+    _, pivots, d, _ = _eliminate(m)
     return d if len(pivots) == m.rows else 0
 
 

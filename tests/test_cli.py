@@ -422,6 +422,19 @@ def test_module_entry_point_exit_codes(tmp_path):
         assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err), argv
 
 
+def test_import_leaves_statistics_unloaded():
+    # statistics (with fractions, decimal and numbers) cost about 4 ms of
+    # every import; only bench_recover needs it, and imports it itself
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, grskit, grskit.cli; print('statistics' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 def _cli_session(tmp_path, capsys):
     """One main() sequence over every subcommand, usage errors (exit 2),
     a malformed file (exit 3) and --help (exit 0) among them: each call's

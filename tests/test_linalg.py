@@ -205,6 +205,69 @@ def test_matmul_counts_one_neg_and_one_axpy_per_nonzero_entry():
         assert cf.ops == want
 
 
+def _elimination_cases(field, rng):
+    """(rows, cols) pairs: the edge shapes of elimination, then random ones."""
+    p = field.p
+
+    def r():
+        return rng.randrange(p)
+    row = [r() for _ in range(5)]
+    cases = [
+        ([], 3), ([], 0), ([[], [], []], 0),
+        ([[r() for _ in range(3)] for _ in range(5)], 3),          # k > n
+        ([row, row, [0] * 5, row], 5),                             # repeated, zero rows
+        ([[0, r(), 0, r(), r()] for _ in range(3)], 5),            # zero columns
+        ([[1, r(), r(), r()], [0, 1, r(), r()], [0, 0, 1, r()]], 4),  # pivots already 1
+        ([[p - 1] * 4 for _ in range(4)], 4),
+        ([[0] * 3 for _ in range(3)], 3),
+    ]
+    for k in range(1, 7):
+        # L·U with ones on and below L's diagonal and p - 1 above U's: every
+        # multiplier is 1 and every pivot row entry p - 1, the most that k
+        # row updates can add to a slot
+        cases.append(([[sum(1 if t == j else p - 1 for t in range(min(i, j) + 1)) % p
+                        for j in range(k + 2)] for i in range(k)], k + 2))
+        for n in (k - 1, k, k + 3):
+            dense = [[r() for _ in range(n)] for _ in range(k)]
+            sparse = [[r() if rng.random() < 0.3 else 0 for _ in range(n)]
+                      for _ in range(k)]
+            cases += [(dense, n), (sparse, n)]
+    return cases
+
+
+# 2^31 - 1 packs k <= 4 rows, since (p-1) + 4(p-1)^2 < 2^64 <= (p-1) + 5(p-1)^2
+@pytest.mark.parametrize("p", [2, 3, 13, 257, 8191, 65521, 2 ** 31 - 1])
+def test_packed_rows_match_list_rows(p):
+    # a prime field eliminates on packed int rows; CountingField, which
+    # overrides axpy, keeps list rows, the reference compared against
+    f = Field(p)
+    cf = CountingField(f)
+    assert f._rows(4, 3)[0] is not list and cf._rows(4, 3)[0] is list
+    assert (f._rows(5, 3)[0] is list) == (p == 2 ** 31 - 1)
+    rng = random.Random(f"packed:{p}")
+    for rows, n in _elimination_cases(f, rng):
+        m, ref = Matrix(f, rows, n), Matrix(cf, rows, n)
+        red, pivots = rref(m)
+        assert (red, pivots) == rref(ref), (rows, n)
+        assert all(0 <= e < p for row in red.data for e in row)
+        assert rank(m) == rank(ref) == len(pivots)
+        assert right_kernel(m) == right_kernel(ref)
+        if m.rows <= n:
+            assert echelonize(m) == echelonize(ref)
+        if m.rows == n:
+            assert det(m) == det(ref)
+
+
+def test_counting_field_rref_charges_two_per_pivot_row_entry():
+    # CountingField over GF(257) keeps list rows updated by its axpy: each
+    # row update counts 2 per nonzero entry of the pivot row (3 in row 0,
+    # then 3 in the reduced row 1), and each pivot one mul into d
+    cf = CountingField(field_from_order(257))
+    red, pivots = rref(Matrix(cf, [[1, 2, 3, 0], [1, 3, 5, 7]]))
+    assert (red.data, pivots) == (((1, 0, 256, 243), (0, 1, 2, 7)), (0, 1))
+    assert cf.ops == 2 * 3 + 2 * 3 + 2
+
+
 def test_rref_pivots(f11):
     m = Matrix(f11, [[0, 1, 2], [0, 2, 4]])
     red, pivots = rref(m)
