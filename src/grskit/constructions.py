@@ -3,13 +3,14 @@
 A ConstructionRecord carries its parameters, q, k, n and two verdicts, all
 decided from the parameters; its generator is built on the first read of
 its code.  MDS-ness is a subset certificate on the evaluation points
-(families.mgrs_is_mds, emgrs_is_mds and roth_lempel_is_mds, a row's
-records sharing one families._certificate); no columns are walked.
-GRS-ness of a modified-GRS row is the curve rule
+(families.mgrs_is_mds, emgrs_is_mds and roth_lempel_is_mds); no columns
+are walked.  A modified-GRS row checks its parameters in full once, at one
+k; each record takes them to its k with families._at and reads its
+verdicts from the row's one families._certificate and the curve rule
 (families.mgrs_is_grs, emgrs_is_grs).  The Roth-Lempel [q+2, 3] code and
 each punctured [k+3, 3] code behind a twisted-GRS row are non-GRS by the
-same argument: at least 5 of their columns (all q+1 points, or k+2 >= 6
-of them) lie on the conic (1, x, x^2), so in a GRS code every column is a
+same argument: at least 5 of their columns (all q+1 points, or k+2 >= 6 of
+them) lie on the conic (1, x, x^2), so in a GRS code every column is a
 multiple of a point of it (Dür 1987), and the last column, e_1 + delta *
 e_2 (delta = 0 here), is 0 in row 0 and is not e_2.  A dual row takes both
 verdicts of its primal (MDS-ness and GRS-ness are closed under duality),
@@ -32,7 +33,7 @@ from .gf import Field
 from .codes import LinearCode, dual, puncture
 from .families import (MgrsParams, EmgrsParams, RothLempelParams, mgrs_generator,
                        emgrs_generator, roth_lempel_generator, roth_lempel_is_mds,
-                       _certificate, _curve_rule)
+                       _at, _certificate, _curve_rule)
 
 
 @dataclass(frozen=True)
@@ -76,25 +77,21 @@ def _fmt_seq(xs) -> str:
     return ",".join(map(str, xs))
 
 
-def _modified_row(family: str, params) -> Callable[[int], ConstructionRecord]:
-    # the record maker of a modified-GRS row, whose params(k) validates its
-    # MgrsParams or EmgrsParams at k.  Every k of a row has the same points,
-    # so alpha, v and the row's one certificate are made on its first record
-    shared = None
+def _modified_row(family: str, base, at=lambda k: {}) -> Callable[[int], ConstructionRecord]:
+    # the record maker of a modified-GRS row: base is the row's params, checked
+    # in full at one k, and the record at k is base at k with at(k)'s t and
+    # eta; alpha, v and the certificate are made once for the row's points
+    extended = isinstance(base, EmgrsParams)
+    alpha, v = _fmt_seq(base.alpha), _fmt_seq(base.v + (base.v_ext,) if extended else base.v)
+    is_mds = _certificate(base.field, base.alpha)
+    build = emgrs_generator if extended else mgrs_generator
 
     def make(k: int) -> ConstructionRecord:
-        nonlocal shared
-        p = params(k)
-        extended = isinstance(p, EmgrsParams)
-        if shared is None:
-            v = p.v + (p.v_ext,) if extended else p.v
-            shared = _fmt_seq(p.alpha), _fmt_seq(v), _certificate(p.field, p.alpha)
-        alpha, v, is_mds = shared
+        p = _at(base, k=k, **at(k))
         mds = is_mds(p)
         return ConstructionRecord(family, {"alpha": alpha, "v": v, "eta": str(p.eta),
                                            "t": str(p.t)}, p.field.q, k, p.n, mds,
-                                  _curve_rule(p, lambda _: mds),
-                                  partial(emgrs_generator if extended else mgrs_generator, p))
+                                  _curve_rule(p, lambda _: mds), partial(build, p))
     return make
 
 
@@ -131,8 +128,9 @@ def _star_row(field: Field):
     ones = (1,) * (len(alpha) + 1)
     eta = field.primitive  # a generator is never a square
     assert field.pow(eta, (field.q - 1) // 2) == field.neg(1)
-    return range(4, len(ones) - 1), _modified_row("modified-grs-star", lambda k: MgrsParams(
-        field, alpha, ones, eta if k % 2 == 0 else field.neg(eta), k - 1, k))
+    return range(4, len(ones) - 1), _modified_row(
+        "modified-grs-star", MgrsParams(field, alpha, ones, eta, 1, 2),
+        lambda k: {"t": k - 1, "eta": eta if k % 2 == 0 else field.neg(eta)})
 
 
 def star_modified(field: Field, k: int) -> ConstructionRecord:
@@ -147,8 +145,8 @@ def _odd_k3_row(field: Field):
         raise ValueError("needs odd characteristic")
     alpha = tuple(field.powers_of_primitive()[1:(field.q + 1) // 2] + [1, 0])
     n = len(alpha) + 1
-    return _dual_row(3, n, _modified_row("modified-grs", partial(
-        MgrsParams, field, alpha, (1,) * n, field.neg(1), 2)))
+    return _dual_row(3, n, _modified_row("modified-grs", MgrsParams(
+        field, alpha, (1,) * n, field.neg(1), 2, 3)))
 
 
 def odd_k3(field: Field, k: int) -> ConstructionRecord:
@@ -167,10 +165,10 @@ def _plus_row(field: Field, extended: bool):
     # 1/eta is the first power of w from w^(s-1) on outside V; w^(s-1)
     # itself lies in V for some w != x (x^9 + x + 1: w^8 = x^7 + 1)
     eta = field.inv(next(x for x in powers[field.s - 1:] if x >= bound))
-    params = (partial(EmgrsParams, field, alpha, ones, 1, eta, 1) if extended
-              else partial(MgrsParams, field, alpha, ones, eta, 1))
+    base = (EmgrsParams(field, alpha, ones, 1, eta, 1, 2) if extended
+            else MgrsParams(field, alpha, ones, eta, 1, 2))
     return range(5, (field.q - 4) // 2 + 1), _modified_row(
-        "modified-grs-plus-extended" if extended else "modified-grs-plus", params)
+        "modified-grs-plus-extended" if extended else "modified-grs-plus", base)
 
 
 def plus_modified(field: Field, k: int, extended: bool) -> ConstructionRecord:
@@ -187,8 +185,8 @@ def _char2_k4_row(field: Field):
     bound = 1 << (field.s - 1)
     alpha = tuple([field.inv(x) for x in field.powers_of_primitive() if x >= bound] + [0, 1])
     n = len(alpha) + 1
-    return _dual_row(4, n, _modified_row("modified-grs", partial(
-        MgrsParams, field, alpha, (1,) * n, 1, 1)))
+    return _dual_row(4, n, _modified_row("modified-grs", MgrsParams(
+        field, alpha, (1,) * n, 1, 1, 4)))
 
 
 def char2_k4(field: Field, k: int) -> ConstructionRecord:
@@ -217,10 +215,11 @@ def _tgrs_row(q: int, roth_lempel: Callable[[], ConstructionRecord]):
     # punctured code, k+2 points and e_1, is non-GRS, so its dual is too
     def make(k: int) -> ConstructionRecord:
         rl = roth_lempel()
-        positions = list(range(1, q - 1 - k)) + [q + 1]
-        params = {"derived": f"dual-of-punctured-[{q + 2},3]", "punctured": _fmt_seq(positions)}
+        positions = range(1, q - 1 - k)  # then q + 1; a record keeps no list of them
+        params = {"derived": f"dual-of-punctured-[{q + 2},3]",
+                  "punctured": _fmt_seq([*positions, q + 1])}
         return ConstructionRecord("twisted-grs", params, q, k, k + 3, rl.mds, False,
-                                  lambda: dual(puncture(rl.code, positions)))
+                                  lambda: dual(puncture(rl.code, [*positions, q + 1])))
     return range(q // 2, q - 1), make
 
 

@@ -3,21 +3,21 @@
 Families covered: modified GRS (one generator entry changed), extended
 modified GRS, the row-removed subcode families (c/d), twisted GRS with a
 constant-coefficient or top-degree hook, Roth-Lempel, and column-twisted
-codes.  The MDS predicates (mgrs_is_mds, emgrs_is_mds and
-roth_lempel_is_mds) decide a subset condition on the evaluation points
-exactly, without building generator matrices.  The first two are one
+codes.  _check_points checks the modified and twisted GRS points and
+multipliers, and _at moves modified-GRS parameters to another k through
+the k-dependent checks alone.  The MDS predicates (mgrs_is_mds,
+emgrs_is_mds and roth_lempel_is_mds) decide a subset condition on the
+points exactly, without generator matrices; the first two are one
 certificate over a point set, _certificate, which settles the point 0 up
-front for the products (t = m) and the reciprocal sums (t = 1) and folds
-the nonzero points once per target.  They and the Roth-Lempel point sums
-end in one tail, _fold_tail: a closure check first (no fold leaves the
-group that the values generate), then for pairs (m = 2) one lookup of
-target - x (sums) or target / x (products) among the values already
-seen, and for any other size one DP over the values that subsets reach,
-O(n·m·q) field operations within a budget (_SUBSET_CAP).  These
-certificates are the only MDS verdicts of the length table.  The GRS
-rule (mgrs_is_grs, emgrs_is_grs) decides every modified-GRS code from
-its parameters alone: GRS iff eta = 0 and 0 is not a point where
-min(k, n-k) >= 3, and iff MDS and n <= q+1 elsewhere.
+front for the products (t = m) and the reciprocal sums (t = 1).  Those
+folds and the Roth-Lempel sums end in one tail, _fold_tail: a closure
+check (no fold leaves the group the values generate), then one lookup per
+value x of target - x (sums) or target / x (products), among the values
+before x for pairs (m = 2) and in the last layer of a DP over the folds
+that subsets reach for other sizes, O(n·m·q) field operations within a
+budget (_SUBSET_CAP).  The GRS rule (mgrs_is_grs, emgrs_is_grs) decides
+every modified-GRS code from its parameters alone: GRS iff eta = 0 and 0
+is not a point where min(k, n-k) >= 3, and iff MDS and n <= q+1 elsewhere.
 """
 
 from __future__ import annotations
@@ -33,6 +33,33 @@ TWIST_ZERO = "zero"
 TWIST_TOP = "top"
 
 
+def _check_points(p):
+    # p.alpha (n-1 distinct finite points) and p.v (n nonzero multipliers), as tuples
+    object.__setattr__(p, "alpha", tuple(p.alpha))
+    object.__setattr__(p, "v", tuple(p.v))
+    if len(p.v) != len(p.alpha) + 1:
+        raise ValueError("need len(v) = len(alpha) + 1")
+    _check_distinct_finite(p.field, p.alpha)
+    _check_nonzero(p.field, p.v)
+
+
+def _check_at_k(p):
+    # the checks of MgrsParams or EmgrsParams p that depend on k, t or eta
+    p.field.check(p.eta)
+    if not 1 <= p.t <= p.k - 1:
+        raise ValueError("need 1 <= t <= k-1")
+    if p.k > len(p.v):  # n, or n-1 with the extended column
+        raise ValueError("need k <= n-1" if isinstance(p, EmgrsParams) else "k > n")
+
+
+def _at(p, **changes):
+    """p with a new k, t or eta, through only the checks that depend on them."""
+    at = object.__new__(type(p))
+    at.__dict__.update(p.__dict__, **changes)
+    _check_at_k(at)
+    return at
+
+
 @dataclass(frozen=True)
 class MgrsParams:
     """Modified GRS: n-1 finite evaluation points plus one special column
@@ -46,17 +73,8 @@ class MgrsParams:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(self.alpha))
-        object.__setattr__(self, "v", tuple(self.v))
-        if len(self.v) != len(self.alpha) + 1:
-            raise ValueError("need len(v) = len(alpha) + 1")
-        _check_distinct_finite(self.field, self.alpha)
-        _check_nonzero(self.field, self.v)
-        self.field.check(self.eta)
-        if not 1 <= self.t <= self.k - 1:
-            raise ValueError("need 1 <= t <= k-1")
-        if self.k > self.n:
-            raise ValueError("k > n")
+        _check_points(self)
+        _check_at_k(self)
 
     @property
     def n(self) -> int:
@@ -76,12 +94,8 @@ class EmgrsParams:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(self.alpha))
-        object.__setattr__(self, "v", tuple(self.v))
-        if self.k > self.n - 1:
-            raise ValueError("need k <= n-1")
-        # validates the fields shared with MgrsParams
-        MgrsParams(self.field, self.alpha, self.v, self.eta, self.t, self.k)
+        _check_points(self)
+        _check_at_k(self)
         _check_nonzero(self.field, (self.v_ext,))
 
     @property
@@ -102,14 +116,9 @@ class TgrsParams:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(self.alpha))
-        object.__setattr__(self, "v", tuple(self.v))
         if self.hook not in (TWIST_ZERO, TWIST_TOP):
             raise ValueError(f"unknown hook {self.hook!r}")
-        if len(self.v) != len(self.alpha) + 1:
-            raise ValueError("need len(v) = len(alpha) + 1")
-        _check_distinct_finite(self.field, self.alpha)
-        _check_nonzero(self.field, self.v)
+        _check_points(self)
         self.field.check(self.lam)
         if self.lam == 0:
             raise ValueError("twist coefficient must be nonzero")
@@ -312,24 +321,23 @@ def col_twisted_generator(field: Field, a, b: int, c: int, lam: int, k: int,
 _SUBSET_CAP = 1 << 18
 
 
-def _no_subset_reaches(vals, m, op, unit, hit) -> bool:
-    """True iff no m-subset of vals, folded with op from unit, satisfies hit.
+def _no_subset_reaches(vals, m, op, unit, hits) -> bool:
+    """True iff no m-subset of vals (m >= 1), folded with op from unit, is
+    a hit; hits(layer, x) tells whether x folded into some fold in layer is.
 
     After the i-th value, layer j holds the distinct folds of the j-subsets
     of the values seen so far; a fold is kept once however many subsets
     reach it, so with at most q distinct folds the cost is O(n·m·q) instead
-    of C(n, m).  Each new size-m fold is tested at once, so a hit stops the
-    DP, and a layer that the remaining values can no longer complete to
-    size m is dropped.  Holding more than _SUBSET_CAP folds raises
-    ValueError.
+    of C(n, m).  Each new value is tested against the (m-1)-subset folds at
+    once, so a hit stops the DP, and a layer that the remaining values can
+    no longer complete to size m is dropped.  Holding more than _SUBSET_CAP
+    folds raises ValueError.
     """
     n = len(vals)
-    if m == 0:
-        return not hit(unit)
     layers = [{unit}] + [set() for _ in range(m - 1)]
     held = 1
     for i, x in enumerate(vals):
-        if any(hit(op(acc, x)) for acc in layers[m - 1]):
+        if hits(layers[m - 1], x):
             return False
         low = m - (n - 1 - i)  # the values after x complete no layer below low
         for j in range(min(i + 1, m - 1), max(low, 1) - 1, -1):
@@ -374,14 +382,18 @@ def _outside_closure(vals, op, unit, target) -> bool:
 
 def _fold_tail(vals, op, unit, target, undo):
     """misses(m): no m-subset of vals folds with op from unit to target.
-    The closure check runs once; a pair (m = 2) looks up undo(target, x)
-    among the values before x, and any other m runs the DP."""
+    The closure check runs once; then a fold acc reaches target with x iff
+    acc = undo(target, x), one lookup per value: among the values before x
+    for a pair (m = 2), and in the DP's last layer for any other m."""
     if _outside_closure(vals, op, unit, target):
         return lambda m: True
 
     def misses(m):
         if m != 2:
-            return _no_subset_reaches(vals, m, op, unit, target.__eq__)
+            return _no_subset_reaches(vals, m, op, unit,
+                                      lambda layer, x: undo(target, x) in layer)
+        # kept apart: the DP's layers read grsbench table char2_s 10-18% higher
+        # and roth_lempel_is_mds on GF(8) at 11 µs, not 1.6, when it took pairs
         seen = set()
         for x in vals:
             if undo(target, x) in seen:
@@ -401,7 +413,8 @@ def _coefficient_condition_holds(F: Field, alpha, m, t, eta) -> bool:
         return (mul(c[0], na), *(add(lo, mul(hi, na)) for lo, hi in zip(c, c[1:])))
 
     return _no_subset_reaches([F.neg(a) for a in alpha], m, times, (1,) + (0,) * t,
-                              lambda c: add(mul(eta, c[t]), c[0]) == 0)
+                              lambda layer, na: any(add(mul(eta, c[t]), c[0]) == 0
+                                                    for c in (times(acc, na) for acc in layer)))
 
 
 def _certificate(F: Field, alpha):

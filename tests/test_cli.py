@@ -122,10 +122,10 @@ def test_table1_text_output(capsys):
 
 # SHA-256 of `table1 --q <q> --format kv` for every prime power
 # 8 <= q <= 128 and for q = 256, 343, 512, 625, 729 and 1024 (the six
-# together take about 1.5 s) and 2048, 2187 and 2401 (about 5.5 s in fresh
-# processes), pinned so that a change to how the records are decided or
-# how the field computes cannot change a byte of the table; the values
-# from 4096 up to the table cap are checked in CI
+# together take about 1.5 s), 2048, 2187 and 2401, and 6561 and 8191 (each
+# of the last five under 1 s in process), pinned so that a change to how
+# the records are decided or how the field computes cannot change a byte
+# of the table; q = 4096 and 8192 are checked in CI
 TABLE1_KV_SHA256 = {
     8: "a83431626f907974b5eefb6f366dbe5c8ddcf809e33604f87fbf059fad09a579",
     9: "379133d88d5ef8d06c749f76a0910e1e157ddf49852e4b1cbaf1aa9eef3a09d3",
@@ -175,6 +175,8 @@ TABLE1_KV_SHA256 = {
     2048: "7c28fde722acc385ff75e960fe52d2019306c678256b3602712a3572c39bb132",
     2187: "9787d9696a86b4734abd42bb92752e8bfc6f0146749e5040388bca8dfa4833e4",
     2401: "9bfc5aa3dc7518b41b3e867fb28bf09d1484eb8e043ebbea3d1c5167bd2c343b",
+    6561: "ad52397df910555efb1a1c7bd0daa3ea2fcade38dd09ba5201591304cf1de446",
+    8191: "34c8c80cfdc5f390456633c3f721d7bc73725f0bebe01e964b031e5d364faa65",
 }
 
 

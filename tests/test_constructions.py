@@ -5,7 +5,7 @@ import pytest
 
 from grskit.gf import Field, field_from_order
 from grskit.codes import min_distance, is_mds, dual
-from grskit.families import MgrsParams, mgrs_generator
+from grskit.families import EmgrsParams, MgrsParams, emgrs_generator, mgrs_generator
 from grskit.constructions import (star_modified, odd_k3, plus_modified,
                                   char2_k4, ngrs_q2_3, tgrs_punctured, table1)
 from grskit.families import RothLempelParams, roth_lempel_generator, roth_lempel_is_mds
@@ -278,13 +278,78 @@ def test_pair_folds_take_one_pass():
     # among the values already seen, O(q) field operations, not a DP that
     # tests every held fold against each new value: the k = 3 row's
     # products at GF(729) (its closure is the whole group) and the [q+2, 3]
-    # Roth-Lempel sums at GF(512) (target 0, so no closure)
+    # Roth-Lempel sums at GF(512) (target 0, so no closure); for m >= 3 the
+    # DP looks target - x up in its last layer the same way, so the k = 4
+    # row's m = 3 sums at GF(512) cost 34,186 ops (94,326 when each new
+    # value was folded into every held value and tested)
     from grskit.grsid import CountingField
-    for build, f, bound in ((partial(odd_k3, k=3), field_from_order(729), 4),
-                            (ngrs_q2_3, Field(2, 9), 2)):
+    for build, f, bound in ((partial(odd_k3, k=3), field_from_order(729), 4 * 729),
+                            (ngrs_q2_3, Field(2, 9), 2 * 512),
+                            (partial(char2_k4, k=4), Field(2, 9), 40_000)):
         cf = CountingField(f)
         assert build(cf).mds
-        assert cf.ops <= bound * f.q, (f, cf.ops)
+        assert cf.ops <= bound, (f, cf.ops)
+
+
+@pytest.mark.parametrize("q, rows", [(37, 2), (64, 3), (81, 2)])
+def test_one_points_check_per_row(monkeypatch, q, rows):
+    # every record of a row has the row's points, so table1 checks them
+    # once a row: the k = 3 and star rows at odd q, the Roth-Lempel, k = 4
+    # and plus rows in characteristic 2 (15, 28 and 37 checks when every
+    # record checked its own)
+    from grskit import families
+    calls = []
+    real = families._check_distinct_finite
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(families, "_check_distinct_finite", counted)
+    assert table1(field_from_order(q)).records
+    assert len(calls) == rows
+
+
+@pytest.mark.parametrize("q", [16, 25, 27, 32])
+def test_record_params_match_a_direct_construction(q):
+    # a record's params, derived from its row's base by families._at, equal
+    # MgrsParams or EmgrsParams built from the record's own kv fields, which
+    # run every check; the first record of each row also has their generator
+    f = field_from_order(q)
+    rows = set()
+    for rec in table1(f).records:
+        if not rec.family.startswith("modified-grs") or "derived" in rec.params:
+            continue
+        alpha, v = ([int(x) for x in rec.params[key].split(",")] for key in ("alpha", "v"))
+        eta, t = int(rec.params["eta"]), int(rec.params["t"])
+        derived = rec._build.args[0]
+        if rec.family.endswith("-extended"):
+            direct = EmgrsParams(f, alpha, v[:-1], v[-1], eta, t, rec.k)
+            build = emgrs_generator
+        else:
+            direct = MgrsParams(f, alpha, v, eta, t, rec.k)
+            build = mgrs_generator
+        assert direct == derived, rec.summary()
+        if rec.family not in rows:
+            rows.add(rec.family)
+            assert build(direct).gen == rec.code.gen, rec.summary()
+    assert len(rows) == 2, rows
+
+
+def test_twisted_grs_records_keep_no_position_list():
+    # a twisted-GRS record makes its puncture positions again when its code
+    # is built; at GF(2048) its 1,023 records held about 17 MB of position
+    # lists when each kept its own
+    import tracemalloc
+    f = Field(2, 11)
+    tracemalloc.start()
+    try:
+        report = table1(f)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.records) > 1000
+    assert held < 6_000_000, held
 
 
 def test_records_carry_their_certificate(monkeypatch):

@@ -92,6 +92,8 @@ def test_mgrs_param_validation(f11):
         MgrsParams(f11, (1, 2), (1, 1, 1), 0, 2, 2)  # t > k-1
     with pytest.raises(ValueError):
         MgrsParams(f11, (1, 2), (1, 1, 1), 0, 0, 2)
+    with pytest.raises(ValueError, match="^multipliers must be nonzero$"):
+        EmgrsParams(f11, (1, 2), (1, 1, 1), 0, 0, 1, 2)  # v_ext = 0
 
 
 def test_emgrs_names_its_own_length_bound(f11):
@@ -99,6 +101,23 @@ def test_emgrs_names_its_own_length_bound(f11):
     with pytest.raises(ValueError, match=r"^need k <= n-1$"):
         EmgrsParams(f11, (0, 1), (1, 1, 1), 1, 1, 1, 4)
     assert EmgrsParams(f11, (0, 1), (1, 1, 1), 1, 1, 1, 3).n == 4
+
+
+def test_at_runs_the_checks_that_depend_on_k(f11):
+    # families._at moves checked params to another k, t or eta through the
+    # k-dependent checks of a direct construction, with the same texts
+    m = MgrsParams(f11, (1, 2, 3), (1,) * 4, 5, 1, 2)
+    e = EmgrsParams(f11, (1, 2, 3), (1,) * 4, 1, 5, 1, 2)
+    assert families._at(m, k=4, t=3, eta=0) == MgrsParams(f11, (1, 2, 3), (1,) * 4, 0, 3, 4)
+    assert families._at(e, k=4) == EmgrsParams(f11, (1, 2, 3), (1,) * 4, 1, 5, 1, 4)
+    for p, changes, text in ((m, {"k": 5}, r"^k > n$"), (e, {"k": 5}, r"^need k <= n-1$"),
+                             (m, {"t": 2}, r"^need 1 <= t <= k-1$"),
+                             (m, {"k": 3, "t": 0}, r"^need 1 <= t <= k-1$"),
+                             (m, {"eta": 11}, r"^11 is not an element encoding of GF\(11\)$")):
+        with pytest.raises(ValueError, match=text):
+            families._at(p, **changes)
+        with pytest.raises(ValueError, match=text):
+            type(p)(**{**vars(p), **changes})
 
 
 def test_emgrs_tiny_read_off():
@@ -494,13 +513,13 @@ def test_builders_match_entry_formulas():
 def test_subset_dp_matches_subset_enumeration():
     # _no_subset_reaches folds each subset in index order, so any op, even a
     # non-commutative one, must give the verdict of folding every m-subset
-    # from scratch; m runs over 0..n+1
+    # from scratch; hits scans the last layer, and m runs over 1..n+1
     rng = random.Random(20)
     op = lambda acc, x: (3 * acc + x) % 101
     verdicts = set()
     for _ in range(60):
         vals = [rng.randrange(101) for _ in range(rng.randrange(0, 9))]
-        for m in range(len(vals) + 2):
+        for m in range(1, len(vals) + 2):
             targets = set(rng.sample(range(101), rng.randrange(1, 6)))
             want = True
             for sub in combinations(vals, m):
@@ -508,7 +527,8 @@ def test_subset_dp_matches_subset_enumeration():
                 for x in sub:
                     acc = op(acc, x)
                 want = want and acc not in targets
-            got = families._no_subset_reaches(vals, m, op, 5, targets.__contains__)
+            got = families._no_subset_reaches(
+                vals, m, op, 5, lambda layer, x: any(op(acc, x) in targets for acc in layer))
             assert got == want, (vals, m, targets)
             verdicts.add(want)
     assert verdicts == {True, False}
